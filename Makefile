@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check bench bench-smoke bench-check bench-profile report artefacts interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
+.PHONY: test docs-check bench bench-smoke bench-check bench-profile report artefacts paper-check interop chaos chaos-smoke conform conform-smoke fuzz-smoke warehouse-smoke longitudinal-smoke matrix-smoke fleet-smoke clean
 
 # chaos-smoke keeps the fault-injection/degradation path exercised,
 # fuzz-smoke the wire-format conformance suite, conform-smoke the
@@ -51,12 +51,11 @@ conform-smoke:
 bench:
 	$(PYTHON) -m repro bench --output BENCH_scan.json --history BENCH_history.jsonl
 
-# Fast cold serial-vs-parallel overhead gate on a small world; fails
+# Fast cold serial-vs-streaming overhead gate on a small world; fails
 # when parallel cold exceeds 1.25x serial, the streaming pipeline
-# stops overlapping stages (pipeline_speedup collapse, overlap_ratio
-# at/below 1, missing queue-depth/backpressure counters), any
-# StageHealth is not "success", or the dep-broadcast reduction
-# collapses. Wired into `make test`.
+# stops overlapping stages (overlap_ratio at/below 1, no tasks, missing
+# queue-depth/backpressure counters) or any StageHealth is not
+# "success". Wired into `make test`.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --workers 2
 
@@ -120,6 +119,17 @@ report:
 
 artefacts:
 	$(PYTHON) -m repro artefacts
+
+# Paper-artefact regression check: regenerate every deterministic
+# artefact at the default 1:1000 scale and fail unless each one is
+# byte-identical to the committed benchmarks/output/ copy.  A4 is a
+# wall-clock timing table and is left out.  test_perf.py is skipped:
+# it rewrites the committed BENCH_scan.json with this machine's
+# timings and renders no artefact.  Takes a few minutes, so it is not
+# part of `make test` yet.
+paper-check:
+	$(PYTHON) -m pytest -q benchmarks/ --ignore=benchmarks/test_perf.py
+	git diff --exit-code -- benchmarks/output ':!benchmarks/output/A4.txt'
 
 interop:
 	$(PYTHON) -m repro interop

@@ -46,10 +46,10 @@ Subcommands:
   — see ``docs/LONGITUDINAL.md``; exits nonzero only when *no* week
   completed.
 
-``--workers N`` shards scan stages across a process pool (ZMap-style
-permutation sharding; identical output — records *and* merged metrics
-— to a serial run) and ``--cache-dir DIR`` persists completed stages
-on disk for reuse.
+``--workers N`` streams scan stages across a process pool (contiguous
+chunks of each stage's serial work list; identical output — records
+*and* merged metrics — to a serial run) and ``--cache-dir DIR``
+persists completed stages on disk for reuse.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="shard scan stages across N worker processes (default 1: serial)",
+        help="stream scan stages across N worker processes (default 1: serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -318,30 +318,10 @@ def _cmd_conform(args) -> int:
     return 0 if conformance_ok(vectors, fuzz, differential, fleet) else 1
 
 
-def _print_data_movement(movement) -> None:
-    shipped = movement.get("dep_bytes_shipped", 0)
-    naive = movement.get("dep_bytes_naive", 0)
-    factor = movement.get("dep_reduction_factor")
-    print(
-        f"  dep bytes shipped: {shipped:,} (naive per-task baseline"
-        f" {naive:,}, {factor}x reduction)"
-    )
-    print(
-        f"  broadcasts/hits:   {movement.get('dep_broadcasts', 0)}"
-        f" rounds, {movement.get('dep_cache_hits', 0)} cache hits,"
-        f" {movement.get('inline_stages', 0)} stages inline"
-    )
-
-
 def _print_streaming(results) -> None:
-    campaign = results.get("campaign", {})
     streaming = results.get("streaming")
     if not streaming:
         return
-    print(
-        f"  pipeline:          {campaign.get('pipeline_speedup')}x over the"
-        f" barrier stage sum ({campaign.get('barrier_stage_sum_seconds')}s)"
-    )
     print(
         f"  stream sched:      {streaming.get('tasks', 0)} tasks, overlap"
         f" {streaming.get('overlap_ratio')}x, queue depth max"
@@ -389,7 +369,6 @@ def _cmd_bench(args) -> int:
         print(f"  serial cold:       {serial}s")
         print(f"  parallel cold:     {parallel}s ({ratio}x serial)")
         _print_streaming(results)
-        _print_data_movement(results["data_movement"])
         failures = check_benchmarks(results)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -454,7 +433,6 @@ def _cmd_bench(args) -> int:
             f" overlap {fleet['overlap_ratio']}x)"
         )
     _print_streaming(results)
-    _print_data_movement(results["data_movement"])
     if args.check:
         failures = check_benchmarks(results, baseline=baseline)
         for failure in failures:

@@ -15,10 +15,13 @@ memoised per configuration.
 
 Two optional accelerations sit underneath the lazy properties:
 
-- a :class:`~repro.parallel.ScanEngine` (``workers > 1``) shards each
-  stage across a process pool — ZMap sweeps by cyclic-permutation
-  sub-iteration, stateful loops by contiguous target blocks — and
-  merges the results back into serial order, record for record,
+- with ``workers > 1`` (or a fleet attached) stages stream through
+  :class:`~repro.parallel.stream.StreamEngine` on a process pool the
+  campaign keeps until :meth:`Campaign.close` — every stage's serial
+  work list (:meth:`Campaign.stage_targets`) is cut into contiguous
+  chunks computed by the same entry points a serial stage calls once
+  over the whole list, and merged back into serial order, record for
+  record,
 - a :class:`~repro.experiments.stage_cache.CampaignStageCache`
   (``cache_dir``) persists completed stages on disk so repeated runs
   skip them entirely (warm runs never even build the world).
@@ -28,7 +31,7 @@ Observability: every campaign owns a
 :class:`~repro.observability.tracing.EventTracer`.  The stage wrappers
 install them as *current* while a stage computes (so the scanners and
 engines record into them), account per-stage record counts, cache
-hits/misses and wall times, and — in parallel runs — merge the shard
+hits/misses and wall times, and — in parallel runs — merge the chunk
 workers' metric snapshots back in.  ``repro report`` renders the
 result (see :mod:`repro.observability.report`).
 """
@@ -36,7 +39,6 @@ result (see :mod:`repro.observability.report`).
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -121,14 +123,6 @@ class CampaignConfig:
         return tuple(parts)
 
 
-def _stream_default() -> bool:
-    """Whether full-campaign parallel runs stream by default.
-
-    ``REPRO_STREAM=0`` pins the barrier-synchronised engine (used by
-    tests that assert barrier internals and as an escape hatch)."""
-    return os.environ.get("REPRO_STREAM", "1") != "0"
-
-
 def shard_block_bounds(count: int, shard: int, of: int) -> Tuple[int, int]:
     """Balanced contiguous partition of ``range(count)`` into ``of`` blocks."""
     if not 0 <= shard < of:
@@ -188,7 +182,7 @@ class Campaign:
         self.config = config
         self._world = world
         self._workers = max(1, workers or 1)
-        self._engine = None
+        self._pool = None
         self._cache = None
         # When attached to a fleet scheduler, parallel stages run on the
         # fleet's shared pool instead of a per-campaign one.
@@ -196,7 +190,7 @@ class Campaign:
         # Every campaign owns its metrics so concurrent campaigns in
         # one process (tests, benchmarks) never mix telemetry.  The
         # registry is installed as *current* around each stage, so the
-        # scanners pick it up without constructor plumbing; shard
+        # scanners pick it up without constructor plumbing; chunk
         # workers record into fresh registries that merge back here.
         self.metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else EventTracer(0.0)
@@ -277,21 +271,54 @@ class Campaign:
     def stage_cache(self):
         return self._cache
 
+    @property
+    def _parallel(self) -> bool:
+        """Whether scan stages stream on a worker pool."""
+        return self._workers > 1 or self._fleet is not None
+
+    def _worker_pool(self):
+        """The pool parallel stages run on: the fleet's, else our own.
+
+        The campaign's own pool forks on first use and lives until
+        :meth:`close`, so a stage-by-stage walk forks once per campaign.
+        Passing the built world lets the fork inherit it copy-on-write
+        instead of each worker rebuilding one.
+        """
+        if self._fleet is not None:
+            return self._fleet.acquire_pool(self)
+        if self._pool is None:
+            from repro.parallel.engine import _init_worker, fork_pool, world_digest
+
+            self._pool = fork_pool(
+                self._workers,
+                _init_worker,
+                (self.config,),
+                {world_digest(self.config): (self.config, self.world)},
+            )
+        return self._pool
+
     def close(self) -> None:
-        """Shut down the parallel engine's worker pool, if any."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        """Shut down the campaign's worker pool, if any."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            from repro.parallel.engine import close_pool
+
+            close_pool(pool)
 
     # -- stage execution ---------------------------------------------------------
     #
-    # Every scan stage is expressed as a shard-aware compute function
-    # returning (position, record) pairs; serial execution is simply
-    # shard 0 of 1.  The wrapper below layers the persistent cache and
-    # the parallel engine on top without changing the serial record
-    # stream in any way.
+    # Every scan stage is a serial work list (stage_targets) walked by
+    # one of three chunk entry points returning (position, record)
+    # pairs; a serial stage is one chunk over the whole list.  The
+    # wrapper below layers the persistent cache on top, and parallel
+    # campaigns hand the stage to the streaming engine instead.
 
     def _stage(self, name: str) -> List:
+        if self._parallel:
+            from repro.parallel.stream import run_streaming
+
+            run_streaming(self, (name,))
+            return self.__dict__[name]
         start = time.perf_counter()
         cache_state = "off" if self._cache is None else "miss"
         records: Optional[List] = None
@@ -301,10 +328,7 @@ class Campaign:
             if cached is not None:
                 records, cache_state = cached, "hit"
         if records is None:
-            if self._workers > 1 and name in _STAGE_COMPUTE:
-                records, health = self._engine_run(name)
-            else:
-                records, health = self._serial_compute(name)
+            records, health = self._serial_compute(name)
             # Partial or empty results must never poison future runs:
             # only fully successful stages with healthy dependencies are
             # persisted — a stage downstream of a degraded one can be
@@ -345,12 +369,24 @@ class Campaign:
         return False
 
     def _serial_compute(self, name: str) -> Tuple[List, StageHealth]:
-        """Compute a stage in-process, degrading gracefully on failure."""
+        """Compute a stage in-process as one chunk, degrading on failure.
+
+        The target list resolves the stage's inputs *before* the entry
+        point opens this stage's fault epoch: an input may itself
+        compute here (under its own epoch), so this stage's traffic
+        always starts on a freshly keyed epoch — exactly as a chunk
+        worker (whose targets arrive precomputed) sees it.
+        """
         with use_metrics(self.metrics), use_tracer(self.tracer):
             try:
-                records = [
-                    record for _, record in self.compute_stage_shard(name, 0, 1)
-                ]
+                targets = self.stage_targets(name)
+                if name in ("zmap_v4", "syn_v4"):
+                    pairs = self.compute_stage_range(name, 0, len(targets))
+                elif name in ("zmap_v6", "syn_v6"):
+                    pairs = self.compute_stage_targets(name, 0, targets)
+                else:
+                    pairs = self.compute_stage_chunk(name, 0, targets)
+                records = [record for _, record in pairs]
             except Exception as exc:
                 return [], StageHealth(
                     stage=name,
@@ -450,66 +486,6 @@ class Campaign:
             status=status,
         )
 
-    def _stage_items(self, name: str) -> int:
-        """How many work items a stage will walk (resolves its deps)."""
-        if name in ("zmap_v4", "syn_v4"):
-            return self.world.ipv4_space.num_addresses
-        if name in ("zmap_v6", "syn_v6"):
-            return len(self.ipv6_scan_input)
-        family = 6 if name.endswith("v6") else 4
-        if name.startswith("goscanner_nosni"):
-            return len(self._syn_records(family))
-        if name.startswith("goscanner_sni"):
-            return len(self._sni_scan_items(family))
-        if name.startswith("qscan_nosni"):
-            zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-            return len(self._zmap_compatible(zmap))
-        if name.startswith("qscan_sni"):
-            return len(self.sni_targets_v4 if family == 4 else self.sni_targets_v6)
-        raise KeyError(f"unknown stage: {name}")
-
-    def _engine_run(self, name: str) -> Tuple[List, StageHealth]:
-        from repro.parallel import ScanEngine, engine as engine_module
-
-        items = self._stage_items(name)
-        cost = items * _STAGE_COST_WEIGHT[name]
-        if cost <= engine_module.INLINE_COST_THRESHOLD:
-            # The stage is cheaper than shipping it: run it inline in
-            # the parent, exactly like a serial campaign would.
-            records, health = self._serial_compute(name)
-            self.metrics.counter("engine.inline_stages", volatile=True).inc()
-            return records, health
-        if self._engine is None:
-            if self._fleet is not None:
-                # Fleet campaigns share one persistent pool; the fleet
-                # hands out an engine facade bound to it.
-                self._engine = self._fleet.scan_engine(self)
-            else:
-                # Passing the built world lets the pool's fork inherit
-                # it copy-on-write instead of each worker rebuilding one.
-                self._engine = ScanEngine(self.config, self._workers, world=self.world)
-        deps = {dep: getattr(self, dep) for dep in _STAGE_DEPS[name]}
-        records, errors, shards = self._engine.run_stage(
-            name,
-            deps,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            size_hint=items,
-        )
-        if not errors:
-            status = "success"
-        elif len(errors) >= shards:
-            status = "failed"
-        else:
-            status = "degraded"
-        return records, StageHealth(
-            stage=name,
-            status=status,
-            error="; ".join(errors) or None,
-            shards=shards,
-            shards_failed=len(errors),
-        )
-
     def failed_stages(self) -> List[str]:
         """Stages that produced nothing at all (total failure)."""
         return [n for n, h in self.stage_health.items() if h.status == "failed"]
@@ -518,27 +494,57 @@ class Campaign:
         """Stages that completed with partial records."""
         return [n for n, h in self.stage_health.items() if h.status == "degraded"]
 
-    def compute_stage_shard(self, name: str, shard: int, of: int) -> List[Tuple[int, object]]:
-        """Compute one shard of a stage (the engine's worker entry point)."""
-        # Resolve dependencies *before* opening this stage's fault
-        # epoch: in serial runs a dependency may itself compute here
-        # (under its own epoch), so the order guarantees this stage's
-        # traffic always starts on a freshly keyed epoch — exactly as
-        # a shard worker (whose deps arrive precomputed) sees it.
-        for dep in _STAGE_DEPS.get(name, ()):
-            getattr(self, dep)
-        self.world.network.begin_fault_epoch(name)
-        return _STAGE_COMPUTE[name](self, shard, of)
-
-    # -- streaming entry points (see repro.parallel.stream) ----------------
+    # -- chunk entry points (see repro.parallel.stream) --------------------
     #
-    # The streaming engine partitions work by *contiguous serial-order
-    # segments* instead of interleaved permutation shards, and ships
-    # each chunk's targets in the task itself (they are the upstream
-    # chunk's freshly produced records, not a broadcastable stage
-    # dependency).  Each entry point opens the stage's fault epoch and
-    # seeks scanner rng state to the chunk's global offset, so records
-    # and merged metrics stay byte-identical to a serial run.
+    # Work is partitioned into *contiguous serial-order segments* of
+    # each stage's target list; serial runs compute one segment
+    # covering the whole list, streaming workers compute many.  Each
+    # entry point opens the stage's fault epoch and seeks scanner rng
+    # state to the chunk's global offset, so records and merged metrics
+    # are byte-identical whichever way the list was cut.
+
+    def stage_targets(self, name: str) -> Sequence:
+        """A stage's complete serial work list (resolves its inputs).
+
+        IPv4 sweeps walk ``range(cycle)`` permutation positions, IPv6
+        sweeps probe :attr:`ipv6_scan_input`, stateful stages scan the
+        targets :meth:`derive_items` draws from their upstream sweep,
+        and the SNI QUIC scans walk the sorted target union.
+        """
+        family = 6 if name.endswith("v6") else 4
+        if name in ("zmap_v4", "syn_v4"):
+            scanner = self._zmap_scanner(4) if name == "zmap_v4" else self._syn_scanner(4)
+            return range(scanner.sweep_cycle_length(self.world.ipv4_space))
+        if name in ("zmap_v6", "syn_v6"):
+            return self.ipv6_scan_input
+        if name.startswith("goscanner"):
+            return self.derive_items(name, self._syn_records(family))
+        if name.startswith("qscan_nosni"):
+            return self.derive_items(name, self.zmap_v4 if family == 4 else self.zmap_v6)
+        if name.startswith("qscan_sni"):
+            return self._sorted_sni_targets(family)
+        raise KeyError(f"unknown stage: {name}")
+
+    def derive_items(self, name: str, records: Sequence) -> List:
+        """A stateful stage's target items drawn from upstream records.
+
+        Order-preserving, so a prefix of upstream records yields a
+        prefix of the stage's serial target list — which is what lets
+        the streaming engine feed consumers chunk by chunk.
+        """
+        if name.startswith("goscanner_nosni"):
+            return [record.address for record in records]
+        if name.startswith("goscanner_sni"):
+            cap = self.config.max_domains_per_address
+            join = self.dns_join
+            return [
+                (record.address, domain)
+                for record in records
+                for domain in join.domains_for(record.address)[:cap]
+            ]
+        if name.startswith("qscan_nosni"):
+            return [record.address for record in self._zmap_compatible(records)]
+        raise KeyError(f"not a derived stage: {name}")
 
     def compute_stage_range(self, name: str, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Sweep the contiguous walk segment ``[lo, hi)`` of an IPv4 sweep."""
@@ -560,6 +566,25 @@ class Campaign:
             return self._syn_scanner(6).scan_targets_shard(targets, lo)
         raise KeyError(f"not a target-sweep stage: {name}")
 
+    def _stage_scanner(self, name: str):
+        """A stateful stage's scanner and its per-target scan call."""
+        family = 6 if name.endswith("v6") else 4
+        if name.startswith("goscanner_nosni"):
+            scanner = self._goscanner(f"nosni{family}")
+            return scanner, lambda address: scanner.scan(address, None)
+        if name.startswith("goscanner_sni"):
+            scanner = self._goscanner(f"sni{family}")
+            return scanner, lambda item: scanner.scan(*item)
+        if name.startswith("qscan_nosni"):
+            scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
+            return scanner, lambda address: scanner.scan(
+                address, None, TargetSource.ZMAP_DNS
+            )
+        if name.startswith("qscan_sni"):
+            scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
+            return scanner, lambda item: scanner.scan(*item)
+        raise KeyError(f"not a chunkable stage: {name}")
+
     def compute_stage_chunk(
         self, name: str, lo: int, items: Sequence
     ) -> List[Tuple[int, object]]:
@@ -570,65 +595,31 @@ class Campaign:
         in a serial scan of the full list.
         """
         self.world.network.begin_fault_epoch(name)
-        family = 6 if name.endswith("v6") else 4
-        if name.startswith("goscanner_nosni"):
-            scanner = self._goscanner(f"nosni{family}")
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, None))
-                for i, address in enumerate(items)
-            ]
-        if name.startswith("goscanner_sni"):
-            scanner = self._goscanner(f"sni{family}")
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, domain))
-                for i, (address, domain) in enumerate(items)
-            ]
-        if name.startswith("qscan_nosni"):
-            scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, None, TargetSource.ZMAP_DNS))
-                for i, address in enumerate(items)
-            ]
-        if name.startswith("qscan_sni"):
-            scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
-            scanner.seek(lo)
-            return [
-                (lo + i, scanner.scan(address, domain, source))
-                for i, (address, domain, source) in enumerate(items)
-            ]
-        raise KeyError(f"not a chunkable stage: {name}")
+        scanner, scan = self._stage_scanner(name)
+        scanner.seek(lo)
+        return [(index, scan(item)) for index, item in enumerate(items, lo)]
 
-    def run_all_stages(self, streaming: Optional[bool] = None) -> Dict[str, int]:
+    def run_all_stages(self) -> Dict[str, int]:
         """Execute every stage in canonical order; returns record counts.
 
-        With ``workers > 1`` the stages run through the streaming
-        dataflow engine by default: upstream sweep chunks feed stateful
-        scanner chunks while the sweeps are still running, killing the
-        per-stage barrier (records and ``metrics.json`` stay
-        byte-identical to a serial run).  ``streaming=False`` — or
-        ``REPRO_STREAM=0`` — falls back to barrier-synchronised
-        per-stage sharding.
+        Parallel campaigns stream all pending stages as one dataflow:
+        upstream sweep chunks feed stateful scanner chunks while the
+        sweeps are still running (records and ``metrics.json`` stay
+        byte-identical to a serial run).  With every stage then
+        materialized the pool has no work left, so it is released.
         """
         counts: Dict[str, int] = {}
         counts["dns"] = len(self.all_dns_records)
-        if streaming is None:
-            streaming = _stream_default()
-        pending = any(name not in self.__dict__ for name in _STAGE_ORDER)
-        if pending:
-            # The pending gate makes re-invocation (e.g. load_campaign
-            # calling run_all_stages on an already-executed fleet cell)
-            # a pure count pass — no engine dispatch, no re-accounting.
-            if self._fleet is not None:
-                from repro.parallel.stream import run_streaming
+        # The pending gate makes re-invocation (e.g. load_campaign
+        # calling run_all_stages on an already-executed fleet cell) a
+        # pure count pass — no engine dispatch, no re-accounting.
+        if self._parallel and any(name not in self.__dict__ for name in _STAGE_ORDER):
+            from repro.parallel.stream import run_streaming
 
-                run_streaming(self, fleet=self._fleet)
-            elif streaming and self._workers > 1:
-                from repro.parallel.stream import run_streaming
-
+            try:
                 run_streaming(self)
+            finally:
+                self.close()
         for name in _STAGE_ORDER:
             counts[name] = len(getattr(self, name))
         return counts
@@ -677,11 +668,6 @@ class Campaign:
             retry=self.config.retry,
         )
 
-    def _compute_zmap_v4(self, shard: int, of: int) -> List[Tuple[int, ZmapQuicRecord]]:
-        return self._zmap_scanner(4).scan_ipv4_space_shard(
-            self.world.ipv4_space, shard, of
-        )
-
     @cached_property
     def ipv6_scan_input(self) -> List[IPv6Address]:
         """AAAA resolutions joined with the IPv6 hitlist (§3.1)."""
@@ -698,11 +684,6 @@ class Campaign:
     def zmap_v6(self) -> List[ZmapQuicRecord]:
         return self._stage("zmap_v6")
 
-    def _compute_zmap_v6(self, shard: int, of: int) -> List[Tuple[int, ZmapQuicRecord]]:
-        targets = self.ipv6_scan_input
-        lo, hi = shard_block_bounds(len(targets), shard, of)
-        return self._zmap_scanner(6).scan_targets_shard(targets[lo:hi], lo)
-
     # -- stage 3: TCP SYN ---------------------------------------------------------
     def _syn_scanner(self, family: int) -> ZmapTcpScanner:
         label = "zmaptcp" if family == 4 else "zmaptcp6"
@@ -717,19 +698,9 @@ class Campaign:
     def syn_v4(self) -> List[SynRecord]:
         return self._stage("syn_v4")
 
-    def _compute_syn_v4(self, shard: int, of: int) -> List[Tuple[int, SynRecord]]:
-        return self._syn_scanner(4).scan_ipv4_space_shard(
-            self.world.ipv4_space, shard, of
-        )
-
     @cached_property
     def syn_v6(self) -> List[SynRecord]:
         return self._stage("syn_v6")
-
-    def _compute_syn_v6(self, shard: int, of: int) -> List[Tuple[int, SynRecord]]:
-        targets = self.ipv6_scan_input
-        lo, hi = shard_block_bounds(len(targets), shard, of)
-        return self._syn_scanner(6).scan_targets_shard(targets[lo:hi], lo)
 
     # -- stage 4: stateful TLS over TCP -----------------------------------------
     def _goscanner(self, label: str) -> Goscanner:
@@ -746,39 +717,6 @@ class Campaign:
 
     def _syn_records(self, family: int) -> List[SynRecord]:
         return self.syn_v4 if family == 4 else self.syn_v6
-
-    def _compute_goscanner_nosni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, GoscannerRecord]]:
-        syn = self._syn_records(family)
-        lo, hi = shard_block_bounds(len(syn), shard, of)
-        scanner = self._goscanner(f"nosni{family}")
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(record.address, None))
-            for i, record in enumerate(syn[lo:hi])
-        ]
-
-    def _sni_scan_items(self, family: int) -> List[Tuple[Address, str]]:
-        """The flat (address, domain) list the SNI TLS scan walks."""
-        cap = self.config.max_domains_per_address
-        items: List[Tuple[Address, str]] = []
-        for syn in self._syn_records(family):
-            for domain in self.dns_join.domains_for(syn.address)[:cap]:
-                items.append((syn.address, domain))
-        return items
-
-    def _compute_goscanner_sni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, GoscannerRecord]]:
-        items = self._sni_scan_items(family)
-        lo, hi = aligned_block_bounds([a for a, _ in items], shard, of)
-        scanner = self._goscanner(f"sni{family}")
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(address, domain))
-            for i, (address, domain) in enumerate(items[lo:hi])
-        ]
 
     @cached_property
     def goscanner_nosni_v4(self) -> List[GoscannerRecord]:
@@ -906,19 +844,6 @@ class Campaign:
             ),
         )
 
-    def _compute_qscan_nosni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, QScanRecord]]:
-        zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-        targets = self._zmap_compatible(zmap)
-        lo, hi = shard_block_bounds(len(targets), shard, of)
-        scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(record.address, None, TargetSource.ZMAP_DNS))
-            for i, record in enumerate(targets[lo:hi])
-        ]
-
     def _sorted_sni_targets(
         self, family: int
     ) -> List[Tuple[Address, str, TargetSource]]:
@@ -930,18 +855,6 @@ class Campaign:
             source = sorted(sources, key=lambda s: s.value)[0]
             ordered.append((address, domain, source))
         return ordered
-
-    def _compute_qscan_sni(
-        self, family: int, shard: int, of: int
-    ) -> List[Tuple[int, QScanRecord]]:
-        targets = self._sorted_sni_targets(family)
-        lo, hi = aligned_block_bounds([a for a, _, _ in targets], shard, of)
-        scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
-        scanner.seek(lo)
-        return [
-            (lo + i, scanner.scan(address, domain, source))
-            for i, (address, domain, source) in enumerate(targets[lo:hi])
-        ]
 
     @cached_property
     def qscan_nosni_v4(self) -> List[QScanRecord]:
@@ -973,63 +886,11 @@ class Campaign:
         return [r for r in records if (r.address, r.sni) in wanted]
 
 
-# Shard-aware compute functions, keyed by stage name.  The engine's
-# worker processes resolve these against their local world replica.
-_STAGE_COMPUTE: Dict[str, Callable[[Campaign, int, int], List]] = {
-    "zmap_v4": Campaign._compute_zmap_v4,
-    "zmap_v6": Campaign._compute_zmap_v6,
-    "syn_v4": Campaign._compute_syn_v4,
-    "syn_v6": Campaign._compute_syn_v6,
-    "goscanner_nosni_v4": lambda c, s, n: c._compute_goscanner_nosni(4, s, n),
-    "goscanner_nosni_v6": lambda c, s, n: c._compute_goscanner_nosni(6, s, n),
-    "goscanner_sni_v4": lambda c, s, n: c._compute_goscanner_sni(4, s, n),
-    "goscanner_sni_v6": lambda c, s, n: c._compute_goscanner_sni(6, s, n),
-    "qscan_nosni_v4": lambda c, s, n: c._compute_qscan_nosni(4, s, n),
-    "qscan_nosni_v6": lambda c, s, n: c._compute_qscan_nosni(6, s, n),
-    "qscan_sni_v4": lambda c, s, n: c._compute_qscan_sni(4, s, n),
-    "qscan_sni_v6": lambda c, s, n: c._compute_qscan_sni(6, s, n),
-}
-
-# Relative per-item cost of each stage, used with the item count to
-# decide whether a stage is worth sharding at all (see
-# repro.parallel.engine.INLINE_COST_THRESHOLD).  Stateless sweep probes
-# cost microseconds; a stateful handshake costs milliseconds.
-_STAGE_COST_WEIGHT: Dict[str, int] = {
-    "zmap_v4": 1,
-    "syn_v4": 1,
-    "zmap_v6": 2,
-    "syn_v6": 2,
-    "goscanner_nosni_v4": 1000,
-    "goscanner_nosni_v6": 1000,
-    "goscanner_sni_v4": 1000,
-    "goscanner_sni_v6": 1000,
-    "qscan_nosni_v4": 1000,
-    "qscan_nosni_v6": 1000,
-    "qscan_sni_v4": 1000,
-    "qscan_sni_v6": 1000,
-}
-
-# Parent-computed values shipped to shard workers so dependencies are
-# computed once, not once per worker.
-_STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
-    "zmap_v4": (),
-    "zmap_v6": ("ipv6_scan_input",),
-    "syn_v4": (),
-    "syn_v6": ("ipv6_scan_input",),
-    "goscanner_nosni_v4": ("syn_v4",),
-    "goscanner_nosni_v6": ("syn_v6",),
-    "goscanner_sni_v4": ("syn_v4", "dns_join"),
-    "goscanner_sni_v6": ("syn_v6", "dns_join"),
-    "qscan_nosni_v4": ("zmap_v4",),
-    "qscan_nosni_v6": ("zmap_v6",),
-    "qscan_sni_v4": ("sni_targets_v4",),
-    "qscan_sni_v6": ("sni_targets_v6",),
-}
-
 # Health-tracked stages each stage's compute reads, including through
 # the derived target lists (dns_join, Alt-Svc/HTTPS-RR/SNI targets)
-# that sit between them.  Used for cache-taint propagation: a stage is
-# only cached when every transitive input completed ``success``.
+# that sit between them.  Used for cache-taint propagation (a stage is
+# only cached when every transitive input completed ``success``) and
+# for the streaming engine's dependency closure.
 _STAGE_INPUTS: Dict[str, Tuple[str, ...]] = {
     "dns_records": (),
     "ipv6_scan_input": ("dns_records",),

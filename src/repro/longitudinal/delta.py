@@ -141,8 +141,8 @@ def build_week_campaign(
 
     ``fleet`` (a :class:`~repro.parallel.fleet.FleetScheduler` in
     pooled mode) attaches only to full-week campaigns: delta campaigns
-    are hard-serial by design — engine replicas would bypass their
-    merge overrides — so they never touch a pool, shared or otherwise.
+    are hard-serial by design — worker replicas would bypass the merge
+    override — so they never touch a pool, shared or otherwise.
     """
     if previous_config is not None:
         return DeltaCampaign(
@@ -154,11 +154,11 @@ def build_week_campaign(
 class DeltaCampaign(Campaign):
     """A weekly campaign that merges unchanged records from week N-1.
 
-    Only the four stateful compute paths are overridden; sweeps, DNS
-    and all derived target lists run exactly as in :class:`Campaign`.
-    Delta campaigns always execute serially (``workers=1``): the
-    engine's shard workers build plain ``Campaign`` replicas, which
-    would silently bypass the overrides.
+    Only the stateful chunk entry point is overridden; sweeps, DNS and
+    all derived target lists run exactly as in :class:`Campaign`.
+    Delta campaigns always execute serially (``workers=1``): streaming
+    workers build plain ``Campaign`` replicas, which would silently
+    bypass the override.
     """
 
     def __init__(self, config, previous: PreviousWeek, cache_dir=None, tracer=None):
@@ -184,8 +184,8 @@ class DeltaCampaign(Campaign):
         return sum(self.delta_misses.values())
 
     def _note_delta(self, stage: str, hits: int, misses: int) -> None:
-        self.delta_hits[stage] = hits
-        self.delta_misses[stage] = misses
+        self.delta_hits[stage] = self.delta_hits.get(stage, 0) + hits
+        self.delta_misses[stage] = self.delta_misses.get(stage, 0) + misses
         self.metrics.counter("delta.records", result="hit", stage=stage).inc(hits)
         self.metrics.counter("delta.records", result="miss", stage=stage).inc(misses)
 
@@ -220,119 +220,48 @@ class DeltaCampaign(Campaign):
 
     # -- merged stateful stages --------------------------------------------------
     #
-    # Each override mirrors the parent's serial walk exactly; a target
-    # is merged only when its address signature is unchanged AND the
-    # previous week produced a record under the identical key, so
-    # target-list churn (new domains, source changes) always rescans.
+    # The override walks the chunk exactly like the parent's serial
+    # walk; a target is merged only when its address signature is
+    # unchanged AND the previous week produced a record under the
+    # identical key, so target-list churn (new domains, source changes)
+    # always rescans.
 
-    def _compute_goscanner_nosni(self, family, shard, of):
-        name = f"goscanner_nosni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
+    def compute_stage_chunk(self, name, lo, items):
+        previous = self._previous.stage_records(name)
         if previous is None:
-            return super()._compute_goscanner_nosni(family, shard, of)
-        by_key = {str(record.address): record for record in previous}
-        scanner = None
+            return super().compute_stage_chunk(name, lo, items)
+        self.world.network.begin_fault_epoch(name)
+        by_key = {_record_key(name, record): record for record in previous}
+        scanner = scan = None
         hits = misses = 0
         out = []
-        for index, syn in enumerate(self._syn_records(family)):
-            cached = by_key.get(str(syn.address))
-            if cached is not None and not self._address_changed(syn.address):
-                out.append((index, cached))
-                hits += 1
-                continue
-            if scanner is None:
-                scanner = self._goscanner(f"nosni{family}")
-            scanner.seek(index)
-            out.append((index, scanner.scan(syn.address, None)))
-            misses += 1
-        self._note_delta(name, hits, misses)
-        return out
-
-    def _compute_goscanner_sni(self, family, shard, of):
-        name = f"goscanner_sni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
-        if previous is None:
-            return super()._compute_goscanner_sni(family, shard, of)
-        by_key = {
-            (str(record.address), record.sni): record for record in previous
-        }
-        scanner = None
-        hits = misses = 0
-        out = []
-        for index, (address, domain) in enumerate(self._sni_scan_items(family)):
-            cached = by_key.get((str(address), domain))
+        for index, item in enumerate(items, lo):
+            address = item[0] if isinstance(item, tuple) else item
+            cached = by_key.get(_item_key(item))
             if cached is not None and not self._address_changed(address):
                 out.append((index, cached))
                 hits += 1
                 continue
             if scanner is None:
-                scanner = self._goscanner(f"sni{family}")
+                scanner, scan = self._stage_scanner(name)
             scanner.seek(index)
-            out.append((index, scanner.scan(address, domain)))
+            out.append((index, scan(item)))
             misses += 1
         self._note_delta(name, hits, misses)
         return out
 
-    def _compute_qscan_nosni(self, family, shard, of):
-        name = f"qscan_nosni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
-        if previous is None:
-            return super()._compute_qscan_nosni(family, shard, of)
-        from repro.scanners.results import TargetSource
 
-        by_key = {str(record.address): record for record in previous}
-        zmap = self.zmap_v4 if family == 4 else self.zmap_v6
-        scanner = None
-        hits = misses = 0
-        out = []
-        for index, record in enumerate(self._zmap_compatible(zmap)):
-            cached = by_key.get(str(record.address))
-            if cached is not None and not self._address_changed(record.address):
-                out.append((index, cached))
-                hits += 1
-                continue
-            if scanner is None:
-                scanner = self._qscanner(f"nosni{family}", source_v6=family == 6)
-            scanner.seek(index)
-            out.append(
-                (index, scanner.scan(record.address, None, TargetSource.ZMAP_DNS))
-            )
-            misses += 1
-        self._note_delta(name, hits, misses)
-        return out
+def _item_key(item) -> Tuple:
+    """Merge key of a target item: its address plus any SNI and source."""
+    if isinstance(item, tuple):
+        return (str(item[0]),) + item[1:]
+    return (str(item),)
 
-    def _compute_qscan_sni(self, family, shard, of):
-        name = f"qscan_sni_v{family}"
-        previous = (
-            self._previous.stage_records(name) if (shard, of) == (0, 1) else None
-        )
-        if previous is None:
-            return super()._compute_qscan_sni(family, shard, of)
-        by_key = {
-            (str(record.address), record.sni, record.source): record
-            for record in previous
-        }
-        scanner = None
-        hits = misses = 0
-        out = []
-        for index, (address, domain, source) in enumerate(
-            self._sorted_sni_targets(family)
-        ):
-            cached = by_key.get((str(address), domain, source))
-            if cached is not None and not self._address_changed(address):
-                out.append((index, cached))
-                hits += 1
-                continue
-            if scanner is None:
-                scanner = self._qscanner(f"sni{family}", source_v6=family == 6)
-            scanner.seek(index)
-            out.append((index, scanner.scan(address, domain, source)))
-            misses += 1
-        self._note_delta(name, hits, misses)
-        return out
+
+def _record_key(name: str, record) -> Tuple:
+    """The :func:`_item_key` of the target a previous-week record scanned."""
+    if name.startswith("qscan_sni"):
+        return (str(record.address), record.sni, record.source)
+    if name.startswith("goscanner_sni"):
+        return (str(record.address), record.sni)
+    return (str(record.address),)

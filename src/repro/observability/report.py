@@ -82,8 +82,8 @@ def stage_targets(campaign) -> Dict[str, int]:
         "syn_v6": len(campaign.ipv6_scan_input),
         "goscanner_nosni_v4": len(campaign.syn_v4),
         "goscanner_nosni_v6": len(campaign.syn_v6),
-        "goscanner_sni_v4": len(campaign._sni_scan_items(4)),
-        "goscanner_sni_v6": len(campaign._sni_scan_items(6)),
+        "goscanner_sni_v4": len(campaign.stage_targets("goscanner_sni_v4")),
+        "goscanner_sni_v6": len(campaign.stage_targets("goscanner_sni_v6")),
         "qscan_nosni_v4": len(campaign._zmap_compatible(campaign.zmap_v4)),
         "qscan_nosni_v6": len(campaign._zmap_compatible(campaign.zmap_v6)),
         "qscan_sni_v4": len(campaign._sorted_sni_targets(4)),

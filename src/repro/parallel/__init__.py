@@ -1,12 +1,12 @@
 """Parallel execution of campaign scan stages.
 
-Two engines share the worker plumbing: the barrier-synchronised
-:class:`ScanEngine` (one stage at a time, interleaved permutation
-shards) and the streaming :class:`StreamEngine` (record dataflow over
-prefix-ordered chunks; see :mod:`repro.parallel.stream`).
+Every parallel scan runs on the streaming :class:`StreamEngine`: each
+stage's serial work list is cut into contiguous chunks whose records
+flow between stages as a dataflow (see :mod:`repro.parallel.stream`).
+:mod:`repro.parallel.engine` holds the fork-shared worlds and worker
+replicas, :mod:`repro.parallel.fleet` runs many campaigns on one pool.
 """
 
-from repro.parallel.engine import ScanEngine
 from repro.parallel.stream import StreamEngine, run_streaming
 
-__all__ = ["ScanEngine", "StreamEngine", "run_streaming"]
+__all__ = ["StreamEngine", "run_streaming"]

@@ -23,15 +23,15 @@ fleet scheduler amortises both:
   share a single fork pool.  Tasks are wrapped with the owning cell's
   configuration; each worker keeps an LRU of world replicas keyed by
   digest plus campaign replicas keyed by the full configuration, so
-  dep-broadcast caches and warm crypto caches survive across cells and
-  weeks while stale worlds are evicted.
+  warm crypto caches survive across cells and weeks while stale worlds
+  are evicted.
 - **Ordered commits, overlapped loads.**  :meth:`FleetScheduler.execute`
   runs up to ``jobs`` cells' scans concurrently but commits results on
   the calling thread in submission order — a single sqlite writer, so
   warehouse rows and ledger entries are byte-identical to sequential
   runs while cell *k*'s load overlaps cell *k+1*'s scans.
 
-Determinism relies on two existing engine invariants: chunk/shard
+Determinism relies on two existing engine invariants: chunk
 boundaries never split one host's traffic, and per-host fault/path
 state is a pure function of ``(seed, stage epoch, host traffic)`` —
 so re-activating a world between tasks is invisible to the records.
@@ -39,23 +39,20 @@ so re-activating a world between tasks is invisible to the records.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.crypto.rand import derive_seed
 from repro.parallel import engine as engine_module
 from repro.parallel import stream as stream_module
-from repro.parallel.engine import ScanEngine
 
 __all__ = [
     "PRISTINE",
-    "FleetScanEngine",
     "FleetScheduler",
     "fleet_pool_size",
 ]
@@ -79,7 +76,6 @@ _MAX_CAMPAIGNS = 8
 _FLEET_MAX_WORLDS = DEFAULT_MAX_WORLDS
 _FLEET_WORLDS: "OrderedDict[str, object]" = OrderedDict()
 _FLEET_CAMPAIGNS: "OrderedDict[Tuple, object]" = OrderedDict()
-_FLEET_BARRIER = None
 
 
 def fleet_pool_size(jobs: int, workers: int) -> int:
@@ -173,12 +169,11 @@ def _activate_world(config, world) -> None:
 # -- worker side ---------------------------------------------------------------
 
 
-def _fleet_init(max_worlds: int, barrier) -> None:
-    global _FLEET_MAX_WORLDS, _FLEET_WORLDS, _FLEET_CAMPAIGNS, _FLEET_BARRIER
+def _fleet_init(max_worlds: int) -> None:
+    global _FLEET_MAX_WORLDS, _FLEET_WORLDS, _FLEET_CAMPAIGNS
     _FLEET_MAX_WORLDS = max(1, max_worlds)
     _FLEET_WORLDS = OrderedDict()
     _FLEET_CAMPAIGNS = OrderedDict()
-    _FLEET_BARRIER = barrier
 
 
 def _acquire_world(config):
@@ -216,10 +211,9 @@ def _acquire_world(config):
 def _fleet_replica(config):
     """The worker's campaign replica for ``config``, activated.
 
-    Replicas are cached by the full configuration so dep broadcasts
-    and computed stages stay resident across a cell's many tasks (and
-    across repeat visits to the same cell), exactly like the dedicated
-    pool's ``_replica``.
+    Replicas are cached by the full configuration so one replica and
+    its warm caches serve a cell's many tasks (and repeat visits to the
+    same cell), exactly like the dedicated pool's ``_replica``.
     """
     world = _acquire_world(config)
     key = config.cache_key()
@@ -244,52 +238,12 @@ def _fleet_stream_chunk(task):
 
 
 def _fleet_run_shard(task):
-    """Pool task: one barrier-engine shard, routed by configuration."""
-    config, inner = task
-    return engine_module._run_shard_on(_fleet_replica(config), inner)
-
-
-def _fleet_recv_deps(task):
-    """Pool task: one dep-broadcast round, routed by configuration."""
-    config, payload = task
-    return engine_module._recv_deps_on(_fleet_replica(config), payload, _FLEET_BARRIER)
+    # Kept only because perfbench/layers.py looks this name up; the
+    # barrier scan engine it belonged to is gone.
+    raise NotImplementedError("the barrier scan engine was removed")
 
 
 # -- parent side ---------------------------------------------------------------
-
-
-class FleetScanEngine(ScanEngine):
-    """A :class:`ScanEngine` facade bound to a fleet's shared pool.
-
-    Task shaping (shard counts, dep broadcasts, merge order) follows
-    the campaign's own ``workers`` so record and metric merging stays
-    byte-identical to a dedicated engine; only *where* the tasks run
-    changes.  Broadcasts go to every pool slot (the pool may be larger
-    than one campaign's worker count), and ``close()`` merely detaches
-    — the fleet owns the pool's lifecycle across campaigns.
-    """
-
-    def __init__(self, fleet: "FleetScheduler", campaign):
-        super().__init__(campaign.config, campaign._workers, world=None)
-        self._fleet = fleet
-
-    def _ensure_pool(self):
-        pool = self._fleet._ensure_pool()
-        if self._pool is not pool:
-            self._pool = pool
-            self._sent_deps = set()
-        return self._pool
-
-    def close(self, timeout: float = 10.0) -> None:
-        self._pool = None
-
-    def _broadcast_payload(self, pool, payload: bytes) -> List[int]:
-        tasks = [(self._config, payload)] * self._fleet.pool_size
-        return pool.map(_fleet_recv_deps, tasks, chunksize=1)
-
-    def _submit_shards(self, pool, tasks):
-        wrapped = [(self._config, task) for task in tasks]
-        return pool.imap_unordered(_fleet_run_shard, wrapped, chunksize=1)
 
 
 class FleetScheduler:
@@ -324,7 +278,6 @@ class FleetScheduler:
         self.max_worlds = max(1, max_worlds)
         self._worlds: "OrderedDict[str, object]" = OrderedDict()
         self._pool = None
-        self._barrier = None
         self._lock = threading.Lock()
         # Telemetry (parent side; see docs/PERFORMANCE.md).
         self.world_builds = 0
@@ -400,31 +353,16 @@ class FleetScheduler:
     # -- pool -----------------------------------------------------------------
     def _ensure_pool(self):
         with self._lock:
-            if self._pool is not None:
-                return self._pool
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context("spawn")
-            self._barrier = context.Barrier(self.pool_size)
-            # Publish every resident pristine world for the fork to
-            # inherit copy-on-write; the window closes right after
-            # (children keep their fork-time copy of the registry).
-            published = []
-            for digest, world in self._worlds.items():
-                if digest not in engine_module._FORK_SHARED:
-                    engine_module._FORK_SHARED[digest] = (PRISTINE, world)
-                    published.append(digest)
-            try:
-                self._pool = context.Pool(
-                    processes=self.pool_size,
-                    initializer=_fleet_init,
-                    initargs=(self.max_worlds, self._barrier),
+            if self._pool is None:
+                # Every resident pristine world is inherited by the fork
+                # copy-on-write.
+                self._pool = engine_module.fork_pool(
+                    self.pool_size,
+                    _fleet_init,
+                    (self.max_worlds,),
+                    {digest: (PRISTINE, world) for digest, world in self._worlds.items()},
                 )
-            finally:
-                for digest in published:
-                    engine_module._FORK_SHARED.pop(digest, None)
-            self._pool_creations += 1
+                self._pool_creations += 1
             return self._pool
 
     @property
@@ -435,10 +373,6 @@ class FleetScheduler:
     def acquire_pool(self, campaign):
         """Stream-engine hook: borrow the shared pool for a campaign."""
         return self._ensure_pool()
-
-    def scan_engine(self, campaign) -> FleetScanEngine:
-        """Campaign hook: a barrier engine bound to the shared pool."""
-        return FleetScanEngine(self, campaign)
 
     def stream_task(self, config, task):
         """Stream-engine hook: wrap a chunk task with its routing config."""
@@ -538,18 +472,9 @@ class FleetScheduler:
 
     def close(self, timeout: float = 10.0) -> None:
         """Shut the shared pool down (graceful drain, then terminate)."""
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        pool.close()
-        workers = list(getattr(pool, "_pool", ()))
-        deadline = time.monotonic() + timeout
-        while any(p.is_alive() for p in workers) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if any(p.is_alive() for p in workers):
-            pool.terminate()
-        pool.join()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            engine_module.close_pool(pool, timeout)
 
     def __enter__(self) -> "FleetScheduler":
         return self

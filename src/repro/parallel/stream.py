@@ -1,40 +1,42 @@
 """Streaming dataflow execution of campaign scan stages.
 
-The barrier engine (:mod:`repro.parallel.engine`) runs a parallel
-campaign one stage at a time: every shard of a ZMap sweep must return
-before the first downstream handshake starts, so the stateful scanners
-sit idle while the sweeps run and each stage pays the latency of its
-slowest shard.  This module replaces the stage barrier with record
-streaming:
+Every parallel scan — a full campaign, a single lazily accessed stage,
+a fleet cell — runs here.  The scheduler has no stage barrier; records
+stream between stages instead:
 
-- **prefix-ordered sweep chunks** — IPv4 sweeps are partitioned into
-  contiguous walk segments (:meth:`CyclicGroupPermutation.iter_range`)
-  instead of interleaved sub-cycles, so completed chunks form a
-  *prefix* of the serial visit order and their responders can feed
-  downstream stages while later segments are still sweeping,
+- **prefix-ordered chunks** — every stage's serial work list
+  (:meth:`~repro.experiments.campaign.Campaign.stage_targets`) is cut
+  into contiguous segments: IPv4 sweeps into walk-position ranges
+  (:meth:`CyclicGroupPermutation.iter_range`), target lists into
+  slices.  Completed chunks form a *prefix* of the serial visit order,
+  so their responders can feed downstream stages while later segments
+  are still sweeping,
 - **records as dataflow** — a completed upstream chunk's surviving
   records are transformed parent-side into the consumer stage's
-  target items and shipped inside the consumer's chunk task; workers
-  never resolve stage dependencies, so the dep broadcast (and its
-  barrier) disappears entirely,
+  target items (:meth:`~repro.experiments.campaign.Campaign.derive_items`)
+  and shipped inside the consumer's chunk task; workers never resolve
+  stage dependencies,
 - **bounded queues with backpressure** — buffered consumer items are
-  capped (``REPRO_STREAM_QUEUE``); when handshake stages fall behind,
-  sweep dispatch stalls instead of buffering unboundedly, and stalls
-  are counted (``stream.backpressure_stalls``),
+  capped (``_QUEUE_LIMIT``); when handshake stages fall behind, sweep
+  dispatch stalls instead of buffering unboundedly, and stalls are
+  counted (``stream.backpressure_stalls``),
 - **deterministic merge** — every chunk computes under a fresh metrics
   registry, positions are absolute (walk positions or serial
   target-list indices), fault epochs are keyed by stage name, and
   scanner rng state is ``seek()``-ed to the chunk's global offset;
   re-sorting merged pairs by position makes records *and* rendered
   ``metrics.json`` byte-identical to a serial run (the ``repro
-  conform`` differential oracle holds with streaming enabled).
+  conform`` differential oracle).
 
-Chunk scheduling is depth-first: QScanner chunks preempt Goscanner
-chunks preempt sweep chunks, so discovered targets drain through the
-pipeline instead of piling up behind fresh sweep work.  Stage health
-semantics match the barrier engine: a failed chunk degrades its stage
-to the surviving chunks' records and downstream stages keep running on
-whatever survived; degraded stages are never cached.
+A run covers the dependency closure of the requested stages: stages
+already materialized on the campaign or served by the stage cache are
+adopted as finished upstreams, everything else streams.  Chunk
+scheduling is depth-first: QScanner chunks preempt Goscanner chunks
+preempt sweep chunks, so discovered targets drain through the pipeline
+instead of piling up behind fresh sweep work.  A failed chunk degrades
+its stage to the surviving chunks' records and downstream stages keep
+running on whatever survived; degraded stages — and stages computed
+over a degraded input — are never cached.
 
 Observability is volatile by design — ``stream.*`` counters and gauges
 measure transport and scheduling, which vary with worker count, and
@@ -43,48 +45,49 @@ must never enter the deterministic ``metrics.json``.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from multiprocessing.pool import RUN
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracing import EventTracer, use_tracer
-from repro.parallel import engine as engine_module
-from repro.parallel.engine import OVERSHARD_FACTOR, _env_int, _init_worker, _replica
-from repro.quic.versions import QSCANNER_SUPPORTED
+from repro.parallel.engine import _replica
 
-__all__ = ["StreamEngine", "run_streaming", "stream_queue_limit"]
+__all__ = ["StreamEngine", "run_streaming"]
 
-# How many chunks per worker a source sweep is cut into.  Finer than
-# the barrier engine's oversharding: early chunks must complete early
-# for downstream overlap, and sweep chunks are cheap to ship (two
-# integers).
-_STREAM_CHUNKS_PER_WORKER = _env_int("REPRO_STREAM_CHUNKS", 8)
+# How many chunks per worker a source sweep is cut into: early chunks
+# must complete early for downstream overlap, and sweep chunks are
+# cheap to ship (two integers).
+_CHUNKS_PER_WORKER = 8
+
+# Chunks in flight per worker: enough queued work that a slow chunk
+# never leaves a worker idle.
+_INFLIGHT_PER_WORKER = 4
 
 # Floor sizes keeping chunks worth their IPC round-trip.
 _MIN_SWEEP_CHUNK = 2048  # walk positions (~microseconds each)
 _MIN_TARGET_CHUNK = 64  # explicit-list probes
 
-# Consumer batching: accumulate at least this many targets before
+# Consumer batching: accumulate at least _MIN_BATCH targets before
 # shipping a handshake chunk (flushed regardless when upstream ends),
 # and split floods (e.g. a cache-hit upstream arriving whole) into
-# chunks of at most REPRO_STREAM_MAX_BATCH so one consumer stage still
-# spreads across workers.
-_MIN_BATCH = _env_int("REPRO_STREAM_BATCH", 16)
-_MAX_BATCH = _env_int("REPRO_STREAM_MAX_BATCH", 256)
+# chunks of at most _MAX_BATCH so one consumer stage still spreads
+# across workers.
+_MIN_BATCH = 16
+_MAX_BATCH = 256
 
-# A chunk that produces no completion within this window means the
-# pool died or the scheduler wedged; fail loudly instead of hanging.
+# Max buffered consumer items before sweep dispatch stalls.
+_QUEUE_LIMIT = 2048
+
+# A run that sees no chunk complete within this window means the pool
+# died or the scheduler wedged; fail loudly instead of hanging.
 _COMPLETION_TIMEOUT = 300.0
 
-
-def stream_queue_limit() -> int:
-    """Max buffered consumer items before sweep dispatch stalls."""
-    return _env_int("REPRO_STREAM_QUEUE", 2048)
-
+# How often a waiting scheduler checks that its pool is still running.
+_POLL_SECONDS = 0.5
 
 # Dataflow edges: upstream stage -> consumer stages fed per completed
 # prefix chunk.  qscan_sni_* are barrier consumers (their target union
@@ -122,10 +125,11 @@ _DEPTH: Dict[str, int] = {
 def _compute_chunk_on(campaign, task):
     """Compute one streaming chunk on ``campaign`` (shared task body).
 
-    Mirrors the barrier engine's ``_run_shard`` observability contract:
-    a fresh registry/tracer per task, exceptions captured as the final
-    element so one bad chunk degrades its stage instead of crashing the
-    pool.  Shared with the fleet's config-routed task wrapper
+    Each task records into a fresh registry/tracer that exists only for
+    it (the replica's own accumulated state never leaks into the
+    result), and a raising chunk is captured as the final element so
+    one bad chunk degrades its stage instead of crashing the pool.
+    Shared with the fleet's config-routed task wrapper
     (:func:`repro.parallel.fleet._fleet_stream_chunk`).
     """
     kind, stage, seq, lo, payload, trace_rate = task
@@ -149,32 +153,6 @@ def _compute_chunk_on(campaign, task):
 def _stream_chunk(task):
     """Pool task: compute one streaming chunk on the local replica."""
     return _compute_chunk_on(_replica(), task)
-
-
-def _derive_items(campaign, consumer: str, records: List) -> List:
-    """Transform upstream records into a consumer stage's target items.
-
-    Item order — and therefore every item's global index — matches the
-    serial target-list construction exactly: records arrive in serial
-    prefix order and each transformation is order-preserving.
-    """
-    if consumer.startswith("goscanner_nosni"):
-        return [record.address for record in records]
-    if consumer.startswith("goscanner_sni"):
-        cap = campaign.config.max_domains_per_address
-        join = campaign.dns_join
-        return [
-            (record.address, domain)
-            for record in records
-            for domain in join.domains_for(record.address)[:cap]
-        ]
-    if consumer.startswith("qscan_nosni"):
-        return [
-            record.address
-            for record in records
-            if set(record.versions) & QSCANNER_SUPPORTED
-        ]
-    raise KeyError(f"unknown consumer stage: {consumer}")
 
 
 @dataclass
@@ -205,20 +183,19 @@ class _StageNode:
 class StreamEngine:
     """Schedules a campaign's stages as a streaming chunk dataflow."""
 
-    def __init__(self, campaign, workers: Optional[int] = None, fleet=None):
+    def __init__(self, campaign, stages: Optional[Iterable[str]] = None):
+        from repro.experiments.campaign import _STAGE_ORDER
+
         self.campaign = campaign
-        self.workers = max(1, workers if workers is not None else campaign._workers)
-        self._fleet = fleet
+        self.stages = tuple(stages) if stages is not None else _STAGE_ORDER
+        self.workers = campaign._workers
+        self._fleet = campaign._fleet
         self._pool = None
         self._nodes: Dict[str, _StageNode] = {}
         self._ready: Dict[int, deque] = {0: deque(), 1: deque(), 2: deque()}
         self._completions: queue.Queue = queue.Queue()
-        self._inflight = 0
-        self._inflight_depth: Dict[int, int] = {0: 0, 1: 0, 2: 0}
-        self._cap = self.workers * max(1, OVERSHARD_FACTOR)
-        self._min_batch = max(1, _MIN_BATCH)
-        self._max_batch = max(self._min_batch, _MAX_BATCH)
-        self._queue_limit = max(1, stream_queue_limit())
+        self._inflight: Set[Tuple[str, int]] = set()
+        self._cap = self.workers * _INFLIGHT_PER_WORKER
         # Volatile telemetry.
         self._tasks_total = 0
         self._stalls = 0
@@ -227,113 +204,96 @@ class StreamEngine:
 
     # -- public entry ------------------------------------------------------
     def run(self) -> None:
-        """Stream every stage of :data:`_STAGE_ORDER` to completion."""
+        """Stream the requested stages (and what they need) to completion."""
         campaign = self.campaign
         start = time.perf_counter()
         with use_metrics(campaign.metrics), use_tracer(campaign.tracer):
-            # Parent-side plain stages: cheap, and every streaming
-            # stage's item derivation depends on them.  Building the
-            # world here also lets the pool fork inherit it.
-            campaign.all_dns_records
-            campaign.dns_join
-            campaign.ipv6_scan_input
             self._plan()
-            try:
-                if not self._all_finalized():
-                    self._ensure_pool()
-                    self._loop()
-            finally:
-                self._close_pool()
+            if not self._all_finalized():
+                self._pool = campaign._worker_pool()
+                self._loop()
             self._record_telemetry(time.perf_counter() - start)
 
     # -- planning ----------------------------------------------------------
     def _plan(self) -> None:
-        from repro.experiments.campaign import _STAGE_ORDER, StageHealth
+        from repro.experiments.campaign import _STAGE_INPUTS, _STAGE_ORDER, StageHealth
 
         campaign = self.campaign
         cache = campaign.stage_cache
+        # Resolve the dependency closure consumers-first, the way a
+        # serial walk would: a stage already materialized or served by
+        # the cache stops the descent, so its own inputs are never
+        # loaded or computed.
+        needed = set(self.stages)
+        hits: Dict[str, List] = {}
+        for name in reversed(_STAGE_ORDER):
+            if name not in needed or name in campaign.__dict__:
+                continue
+            cached = cache.load(name) if cache is not None else None
+            if cached is not None:
+                hits[name] = cached
+            else:
+                needed.update(_STAGE_INPUTS[name])
         for name in _STAGE_ORDER:
-            self._nodes[name] = _StageNode(
-                name=name,
-                depth=_DEPTH[name],
-                cache_state="off" if cache is None else "miss",
-            )
-        # Adopt stages in one pass, in stage order, *before* feeding
-        # anything: a consumer that is itself settled must never receive
-        # chunks.  Two settled kinds: stages already materialized on the
-        # campaign (an earlier run computed them — their stage_records
-        # counters were recorded then, so re-accounting here would
-        # double them) and cache hits (accounted via ``_complete``).
+            if name in needed:
+                self._nodes[name] = _StageNode(
+                    name=name,
+                    depth=_DEPTH[name],
+                    cache_state="off" if cache is None else "miss",
+                )
+        # Adopt settled stages in one pass, in stage order, *before*
+        # feeding anything: a consumer that is itself settled must never
+        # receive chunks.  Two settled kinds: stages already materialized
+        # on the campaign (an earlier run computed them — their
+        # stage_records counters were recorded then, so re-accounting
+        # here would double them) and cache hits (accounted via
+        # ``_complete``).
         preset: List[_StageNode] = []
-        for name in _STAGE_ORDER:
-            node = self._nodes[name]
-            if name in campaign.__dict__:
+        for node in self._nodes.values():
+            if node.name in campaign.__dict__:
                 node.finalized = True
                 node.started = node.finished = time.perf_counter()
                 node.total = 0
-                node.records = campaign.__dict__[name]
+                node.records = campaign.__dict__[node.name]
                 preset.append(node)
-                continue
-            if cache is not None:
-                cached = cache.load(name)
-                if cached is not None:
-                    node.cache_state = "hit"
-                    node.started = time.perf_counter()
-                    node.total = 0
-                    self._complete(node, cached, StageHealth(stage=name))
-                    preset.append(node)
+            elif node.name in hits:
+                node.cache_state = "hit"
+                node.started = time.perf_counter()
+                node.total = 0
+                self._complete(node, hits[node.name], StageHealth(stage=node.name))
+                preset.append(node)
         for node in preset:
             self._feed_records(node.name, node.records)
             self._upstream_finished(node)
         for name in ("zmap_v4", "syn_v4"):
-            self._plan_sweep(name)
+            self._plan_source(name, "range", _MIN_SWEEP_CHUNK)
         for name in ("zmap_v6", "syn_v6"):
-            self._plan_targets(name)
+            self._plan_source(name, "targets", _MIN_TARGET_CHUNK)
 
-    def _plan_sweep(self, name: str) -> None:
-        campaign = self.campaign
-        node = self._nodes[name]
-        if node.finalized:
-            return
-        node.started = time.perf_counter()
-        scanner = (
-            campaign._zmap_scanner(4) if name == "zmap_v4" else campaign._syn_scanner(4)
-        )
-        cycle = scanner.sweep_cycle_length(campaign.world.ipv4_space)
-        chunks = self._source_chunk_count(cycle, _MIN_SWEEP_CHUNK)
+    def _plan_source(self, name: str, kind: str, min_chunk: int) -> None:
         from repro.experiments.campaign import shard_block_bounds
 
-        for seq in range(chunks):
-            lo, hi = shard_block_bounds(cycle, seq, chunks)
-            self._ready[0].append(("range", name, seq, lo, hi))
-        node.total = node.planned = chunks
-        if chunks == 0:
-            self._finalize(node)
-
-    def _plan_targets(self, name: str) -> None:
-        campaign = self.campaign
-        node = self._nodes[name]
-        if node.finalized:
+        node = self._nodes.get(name)
+        if node is None or node.finalized:
             return
         node.started = time.perf_counter()
-        targets = campaign.ipv6_scan_input
-        chunks = self._source_chunk_count(len(targets), _MIN_TARGET_CHUNK)
-        from repro.experiments.campaign import shard_block_bounds
-
+        targets = self.campaign.stage_targets(name)
+        chunks = self._source_chunk_count(len(targets), min_chunk)
         for seq in range(chunks):
             lo, hi = shard_block_bounds(len(targets), seq, chunks)
-            self._ready[0].append(("targets", name, seq, lo, targets[lo:hi]))
+            # Range chunks ship their end position; target chunks ship
+            # their slice of the list.
+            payload = hi if kind == "range" else targets[lo:hi]
+            self._ready[0].append((kind, name, seq, lo, payload))
         node.total = node.planned = chunks
         if chunks == 0:
             self._finalize(node)
 
     def _plan_sni(self, name: str) -> None:
         """Plan a barrier consumer once its requirements finalized."""
-        campaign = self.campaign
         node = self._nodes[name]
         node.started = time.perf_counter()
-        family = 6 if name.endswith("v6") else 4
-        node.pending_items = list(campaign._sorted_sni_targets(family))
+        node.pending_items = list(self.campaign.stage_targets(name))
         node.upstream_done = True
         self._flush(node, force=True)
         node.total = node.planned
@@ -342,8 +302,8 @@ class StreamEngine:
 
     def _maybe_plan_barriers(self) -> None:
         for name, requirements in _BARRIER_STAGES.items():
-            node = self._nodes[name]
-            if node.finalized or node.started is not None:
+            node = self._nodes.get(name)
+            if node is None or node.finalized or node.started is not None:
                 continue
             if all(self._nodes[req].finalized for req in requirements):
                 self._plan_sni(name)
@@ -351,23 +311,29 @@ class StreamEngine:
     def _source_chunk_count(self, items: int, min_chunk: int) -> int:
         if items <= 0:
             return 0
-        cap = max(1, self.workers * _STREAM_CHUNKS_PER_WORKER)
+        cap = self.workers * _CHUNKS_PER_WORKER
         return max(1, min(cap, max(1, items // min_chunk)))
 
     # -- dataflow ----------------------------------------------------------
+    def _open_consumers(self, name: str) -> List[_StageNode]:
+        """Consumers of ``name`` in this run that still take input."""
+        nodes = (self._nodes.get(consumer) for consumer in _CONSUMERS.get(name, ()))
+        return [
+            node
+            for node in nodes
+            if node is not None and not node.finalized and node.cache_state != "hit"
+        ]
+
     def _feed_records(self, name: str, records: List) -> None:
-        for consumer in _CONSUMERS.get(name, ()):
-            cnode = self._nodes[consumer]
-            if cnode.finalized or cnode.cache_state == "hit":
-                continue
-            items = _derive_items(self.campaign, consumer, records)
+        for cnode in self._open_consumers(name):
+            items = self.campaign.derive_items(cnode.name, records)
             if items:
                 cnode.pending_items.extend(items)
                 self._flush(cnode, force=cnode.upstream_done)
 
     def _flush(self, node: _StageNode, force: bool = False) -> None:
         items = node.pending_items
-        if not items or (not force and len(items) < self._min_batch):
+        if not items or (not force and len(items) < _MIN_BATCH):
             return
         node.pending_items = []
         for lo, hi in self._split(node, items):
@@ -383,10 +349,9 @@ class StreamEngine:
 
         SNI stages align cuts on address runs — all connections to one
         server must stay in one chunk so the server's per-connection
-        state sequence replays the serial scan (the same invariant the
-        barrier engine enforces with :func:`aligned_block_bounds`).
+        state sequence replays the serial scan.
         """
-        count = (len(items) + self._max_batch - 1) // self._max_batch
+        count = (len(items) + _MAX_BATCH - 1) // _MAX_BATCH
         if count <= 1:
             return [(0, len(items))]
         from repro.experiments.campaign import aligned_block_bounds, shard_block_bounds
@@ -401,10 +366,7 @@ class StreamEngine:
         return [(lo, hi) for lo, hi in bounds if hi > lo]
 
     def _upstream_finished(self, node: _StageNode) -> None:
-        for consumer in _CONSUMERS.get(node.name, ()):
-            cnode = self._nodes[consumer]
-            if cnode.finalized or cnode.cache_state == "hit":
-                continue
+        for cnode in self._open_consumers(node.name):
             cnode.upstream_done = True
             if cnode.started is None:
                 cnode.started = time.perf_counter()
@@ -420,9 +382,8 @@ class StreamEngine:
         node = self._nodes[stage]
         if node.started is None:
             node.started = time.perf_counter()
-        self._inflight += 1
-        self._inflight_depth[node.depth] += 1
-        self._inflight_max = max(self._inflight_max, self._inflight)
+        self._inflight.add((stage, seq))
+        self._inflight_max = max(self._inflight_max, len(self._inflight))
         self._tasks_total += 1
         full = (kind, stage, seq, lo, payload, self.campaign.tracer.sample_rate)
 
@@ -436,9 +397,12 @@ class StreamEngine:
             func, args = self._fleet.stream_task(self.campaign.config, full)
         else:
             func, args = _stream_chunk, (full,)
-        self._pool.apply_async(
-            func, args, callback=on_done, error_callback=on_error
-        )
+        try:
+            self._pool.apply_async(
+                func, args, callback=on_done, error_callback=on_error
+            )
+        except ValueError as exc:  # the pool was closed under this run
+            on_error(exc)
 
     def _consumer_backlog(self) -> int:
         """Buffered consumer items not yet inside a worker."""
@@ -453,7 +417,7 @@ class StreamEngine:
 
     def _dispatch(self) -> None:
         stalled = False
-        while self._inflight < self._cap:
+        while len(self._inflight) < self._cap:
             backlog = self._consumer_backlog()
             self._queue_max = max(
                 self._queue_max, backlog, sum(len(d) for d in self._ready.values())
@@ -464,7 +428,7 @@ class StreamEngine:
                     task = self._ready[depth].popleft()
                     break
             if task is None and self._ready[0]:
-                if backlog >= self._queue_limit:
+                if backlog >= _QUEUE_LIMIT:
                     # Sweeps are outrunning the handshake stages: stall
                     # source dispatch and push the buffered targets into
                     # consumer chunks instead, so the stall drains the
@@ -477,7 +441,7 @@ class StreamEngine:
                             flushed = True
                     if flushed:
                         continue
-                    if self._inflight == 0:
+                    if not self._inflight:
                         # Liveness: with nothing running and nothing to
                         # flush, a stalled source is the only progress.
                         task = self._ready[0].popleft()
@@ -492,16 +456,10 @@ class StreamEngine:
     def _loop(self) -> None:
         while not self._all_finalized():
             self._dispatch()
-            if self._inflight == 0:
+            if not self._inflight:
                 pending = [n.name for n in self._nodes.values() if not n.finalized]
                 raise RuntimeError(f"streaming scheduler wedged; pending: {pending}")
-            try:
-                kind, payload = self._completions.get(timeout=_COMPLETION_TIMEOUT)
-            except queue.Empty:
-                raise RuntimeError(
-                    f"no chunk completed within {_COMPLETION_TIMEOUT}s; "
-                    "worker pool presumed dead"
-                ) from None
+            kind, payload = self._next_completion()
             self._handle(kind, payload)
             while True:
                 try:
@@ -510,23 +468,44 @@ class StreamEngine:
                     break
                 self._handle(kind, payload)
 
+    def _next_completion(self):
+        """Wait for a chunk result, failing in-flight chunks of a closed pool.
+
+        A ``close()``/``terminate()`` racing this run (watchdog, signal
+        handler, interpreter teardown) can leave chunks whose results
+        never arrive.  They are reported failed, never dropped: the
+        stage degrades instead of finishing as a quietly short
+        ``success``.
+        """
+        deadline = time.monotonic() + _COMPLETION_TIMEOUT
+        while True:
+            try:
+                return self._completions.get(timeout=_POLL_SECONDS)
+            except queue.Empty:
+                pass
+            if getattr(self._pool, "_state", RUN) != RUN:
+                aborted = RuntimeError("aborted: pool closed with chunks in flight")
+                for stage, seq in sorted(self._inflight):
+                    self._completions.put(("err", (stage, seq, aborted)))
+                continue
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"no chunk completed within {_COMPLETION_TIMEOUT}s; "
+                    "worker pool presumed dead"
+                )
+
     def _handle(self, kind: str, payload) -> None:
         if kind == "err":
             stage, seq, exc = payload
-            result = (
-                stage,
-                seq,
-                [],
-                {},
-                [],
-                f"chunk {seq}: {type(exc).__name__}: {exc}",
-            )
+            error = f"chunk {seq}: {type(exc).__name__}: {exc}"
+            result = (stage, seq, [], {}, [], error)
         else:
             result = payload
         stage, seq, pairs, snapshot, events, error = result
+        if (stage, seq) not in self._inflight:
+            return  # a late result for a chunk already reported aborted
+        self._inflight.discard((stage, seq))
         node = self._nodes[stage]
-        self._inflight -= 1
-        self._inflight_depth[node.depth] -= 1
         node.results[seq] = (pairs, snapshot, events, error)
         node.completed += 1
         self._advance(node)
@@ -534,7 +513,7 @@ class StreamEngine:
     def _advance(self, node: _StageNode) -> None:
         # Feed consumers strictly in prefix order: chunk seq N's records
         # only flow once 0..N-1 have flowed (failed chunks flow nothing,
-        # matching the barrier engine's surviving-records degradation).
+        # so consumers see exactly the surviving records).
         while node.next_seq in node.results:
             pairs, _, _, error = node.results[node.next_seq]
             node.next_seq += 1
@@ -594,6 +573,7 @@ class StreamEngine:
             campaign.stage_cache is not None
             and node.cache_state == "miss"
             and health.status == "success"
+            and not campaign._tainted(node.name)
         ):
             campaign.stage_cache.store(node.name, records)
         health.records = len(records)
@@ -604,52 +584,6 @@ class StreamEngine:
 
     def _all_finalized(self) -> bool:
         return all(node.finalized for node in self._nodes.values())
-
-    # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            if self._fleet is not None:
-                # Borrow the fleet's persistent shared pool; the fleet
-                # owns its lifecycle, _close_pool only detaches.
-                self._pool = self._fleet.acquire_pool(self.campaign)
-                return self._pool
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context("spawn")
-            # Publish the built world for the fork to inherit (same
-            # copy-on-write scheme as the barrier engine); no broadcast
-            # barrier — streaming workers never receive deps.
-            digest = engine_module.world_digest(self.campaign.config)
-            engine_module._FORK_SHARED[digest] = (
-                self.campaign.config,
-                self.campaign.world,
-            )
-            try:
-                self._pool = context.Pool(
-                    processes=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.campaign.config, None),
-                )
-            finally:
-                engine_module._FORK_SHARED.pop(digest, None)
-        return self._pool
-
-    def _close_pool(self, timeout: float = 10.0) -> None:
-        pool = self._pool
-        if pool is None:
-            return
-        self._pool = None
-        if self._fleet is not None:
-            return
-        pool.close()
-        workers = list(getattr(pool, "_pool", ()))
-        deadline = time.monotonic() + timeout
-        while any(p.is_alive() for p in workers) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if any(p.is_alive() for p in workers):
-            pool.terminate()
-        pool.join()
 
     # -- telemetry ---------------------------------------------------------
     def _record_telemetry(self, wall: float) -> None:
@@ -668,11 +602,11 @@ class StreamEngine:
         metrics.counter("stream.backpressure_stalls", volatile=True).inc(self._stalls)
         metrics.gauge("stream.queue_depth_max", volatile=True).set(self._queue_max)
         metrics.gauge("stream.inflight_max", volatile=True).set(self._inflight_max)
-        metrics.gauge("stream.queue_limit", volatile=True).set(self._queue_limit)
+        metrics.gauge("stream.queue_limit", volatile=True).set(_QUEUE_LIMIT)
         metrics.gauge("stream.wall_seconds", volatile=True).set(round(wall, 6))
         metrics.gauge("stream.overlap_ratio", volatile=True).set(round(overlap, 4))
 
 
-def run_streaming(campaign, workers: Optional[int] = None, fleet=None) -> None:
-    """Run every campaign stage through the streaming dataflow engine."""
-    StreamEngine(campaign, workers, fleet=fleet).run()
+def run_streaming(campaign, stages: Optional[Iterable[str]] = None) -> None:
+    """Stream ``stages`` (default: all twelve) and their dependency closure."""
+    StreamEngine(campaign, stages).run()

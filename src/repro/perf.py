@@ -7,7 +7,7 @@ and the end-to-end campaign wall-clock under each acceleration:
 - **handshakes/sec** — stateful QScanner handshakes against
   QUIC-capable targets,
 - **campaign wall-clock** — every scan stage of a weekly campaign,
-  serial vs. sharded-parallel (cold) and cold vs. warm persistent
+  serial vs. streaming-parallel (cold) and cold vs. warm persistent
   stage cache,
 - **warehouse load** — rows/sec ingesting the campaign into the sqlite
   results warehouse (staging + QA + marts) and one pass over every
@@ -24,17 +24,16 @@ and the end-to-end campaign wall-clock under each acceleration:
   counters :func:`check_benchmarks` gates on.
 
 Beyond the headline rates, the result document carries per-stage wall
-times (serial and parallel) and the parallel engine's data-movement
-counters (dependency bytes shipped vs. the naive per-task baseline,
-broadcast rounds, cache hits, inline stages) — see
+times (serial and parallel) and the streaming scheduler's telemetry
+(tasks, overlap, queue depth, backpressure stalls) — see
 ``docs/PERFORMANCE.md`` for how to read them.
 
 Results are written to ``BENCH_scan.json`` and appended as one JSON
 line to ``BENCH_history.jsonl`` so rate trends survive the overwrite.
 :func:`check_benchmarks` turns a result document into a regression
 gate (``make bench-check``): it fails when parallel overhead exceeds
-the budget, when hot-path rates drop against a baseline document, or
-when the dependency-broadcast reduction collapses.  All numbers are
+the budget, when the streaming pipeline stops overlapping stages, or
+when hot-path rates drop against a baseline document.  All numbers are
 honest wall-clock measurements on the current machine; the parallel
 speedup in particular depends on the available cores (reported
 alongside).
@@ -96,7 +95,7 @@ def _stage_seconds(campaign: Campaign) -> Dict[str, float]:
 def _stage_shares(seconds: Dict[str, float], wall: float) -> Dict[str, float]:
     """Each stage's wall-clock share of the campaign run.
 
-    For a barrier run the shares sum to ~1; for a streaming run a
+    For a serial run the shares sum to ~1; for a streaming run a
     stage's window spans first-dispatch to finalize, so overlapping
     stages sum well past 1 — which is the honest picture behind the
     end-to-end speedup number (a stage at share 0.9 bounds what any
@@ -116,22 +115,6 @@ def _stream_telemetry(campaign: Campaign) -> Dict[str, object]:
             if name.startswith("stream."):
                 telemetry[name[len("stream."):]] = value
     return telemetry
-
-
-def _data_movement(campaign: Campaign) -> Dict[str, object]:
-    """The parallel engine's ``engine.*`` data-movement counters."""
-    snapshot = campaign.metrics.snapshot()
-    counters = {
-        name[len("engine."):]: value
-        for name, value in snapshot["counters"].items()
-        if name.startswith("engine.")
-    }
-    shipped = counters.get("dep_bytes_shipped", 0)
-    naive = counters.get("dep_bytes_naive", 0)
-    counters["dep_reduction_factor"] = (
-        round(naive / shipped, 2) if shipped else None
-    )
-    return counters
 
 
 def _bench_probe_rate(campaign: Campaign) -> Dict[str, float]:
@@ -389,7 +372,7 @@ def run_benchmarks(
 
     scale = scale or DEFAULT_BENCH_SCALE
     # At least two workers so the parallel scenario actually exercises
-    # the sharded engine, even on a single-core machine (where the
+    # the streaming engine, even on a single-core machine (where the
     # recorded speedup will honestly be < 1).
     workers = workers or max(2, default_worker_count())
     config = CampaignConfig(week=week, scale=scale, seed=seed)
@@ -407,23 +390,13 @@ def run_benchmarks(
     matrix = _bench_matrix(seed=seed)
     fleet = _bench_fleet(seed=seed, sequential_seconds=matrix["matrix_seconds"])
 
-    # -- parallel cold runs ------------------------------------------------
-    # Streaming dataflow (the default for workers > 1) and the barrier
-    # engine, separately: the barrier run's per-stage times are the
-    # "former stage times" the pipeline speedup is measured against.
+    # -- parallel cold run (streaming dataflow) -----------------------------
     parallel = Campaign(config, workers=workers)
     _ = parallel.world  # built before timing, same as the serial run
     try:
-        _, parallel_seconds = _time(lambda: parallel.run_all_stages(streaming=True))
+        _, parallel_seconds = _time(parallel.run_all_stages)
     finally:
         parallel.close()
-    barrier = Campaign(config, workers=workers)
-    _ = barrier.world
-    try:
-        _, barrier_seconds = _time(lambda: barrier.run_all_stages(streaming=False))
-    finally:
-        barrier.close()
-    barrier_stage_sum = sum(_stage_seconds(barrier).values())
 
     # -- persistent cache: cold (populating) then warm ---------------------
     own_tmp = cache_dir is None
@@ -463,15 +436,7 @@ def run_benchmarks(
             "world_build_seconds": round(world_seconds, 3),
             "serial_cold_seconds": round(serial_seconds, 3),
             "parallel_cold_seconds": round(parallel_seconds, 3),
-            "barrier_cold_seconds": round(barrier_seconds, 3),
-            "barrier_stage_sum_seconds": round(barrier_stage_sum, 3),
             "parallel_speedup": round(serial_seconds / parallel_seconds, 2)
-            if parallel_seconds
-            else None,
-            # Streaming wall vs. the sum of the barrier run's stage
-            # times at the same worker count: >1 means the pipeline
-            # really overlapped stages the barrier serialised.
-            "pipeline_speedup": round(barrier_stage_sum / parallel_seconds, 2)
             if parallel_seconds
             else None,
             "cache_cold_seconds": round(cache_cold_seconds, 3),
@@ -483,7 +448,6 @@ def run_benchmarks(
         "stage_seconds": {
             "serial": _stage_seconds(serial),
             "parallel": _stage_seconds(parallel),
-            "barrier": _stage_seconds(barrier),
             # Wall-clock shares put parallel_speedup at workers=2 in
             # context: a stage holding most of the wall bounds any
             # speedup the remaining stages can contribute.
@@ -496,7 +460,6 @@ def run_benchmarks(
         "stage_health": {
             name: health.status for name, health in parallel.stage_health.items()
         },
-        "data_movement": _data_movement(barrier),
     }
 
 
@@ -508,12 +471,10 @@ def run_smoke(
 ) -> Dict:
     """The cheap bench used as a CI gate (``make bench-smoke``).
 
-    Runs the serial cold campaign, the streaming parallel cold
-    campaign, and the barrier parallel cold campaign on a small world,
-    and reports the overhead ratio, the streaming scheduler's
-    queue-depth/backpressure telemetry, per-stage health, and the
-    barrier engine's data-movement counters; :func:`check_benchmarks`
-    applies the gates.
+    Runs the serial and the streaming parallel cold campaign on a small
+    world, and reports the overhead ratio, the streaming scheduler's
+    queue-depth/backpressure telemetry and per-stage health;
+    :func:`check_benchmarks` applies the gates.
     """
     scale = scale or SMOKE_SCALE
     config = CampaignConfig(week=week, scale=scale, seed=seed)
@@ -523,18 +484,9 @@ def run_smoke(
     parallel = Campaign(config, workers=workers)
     _ = parallel.world
     try:
-        parallel_counts, parallel_seconds = _time(
-            lambda: parallel.run_all_stages(streaming=True)
-        )
+        parallel_counts, parallel_seconds = _time(parallel.run_all_stages)
     finally:
         parallel.close()
-    barrier = Campaign(config, workers=workers)
-    _ = barrier.world
-    try:
-        _, barrier_seconds = _time(lambda: barrier.run_all_stages(streaming=False))
-    finally:
-        barrier.close()
-    barrier_stage_sum = sum(_stage_seconds(barrier).values())
     assert parallel_counts == serial_counts, "parallel returned different records"
     return {
         "benchmark": "scan-engine-smoke",
@@ -553,11 +505,6 @@ def run_smoke(
             "world_build_seconds": round(world_seconds, 3),
             "serial_cold_seconds": round(serial_seconds, 3),
             "parallel_cold_seconds": round(parallel_seconds, 3),
-            "barrier_cold_seconds": round(barrier_seconds, 3),
-            "barrier_stage_sum_seconds": round(barrier_stage_sum, 3),
-            "pipeline_speedup": round(barrier_stage_sum / parallel_seconds, 2)
-            if parallel_seconds
-            else None,
         },
         "stage_seconds": {
             "serial": _stage_seconds(serial),
@@ -571,7 +518,6 @@ def run_smoke(
         "stage_health": {
             name: health.status for name, health in parallel.stage_health.items()
         },
-        "data_movement": _data_movement(barrier),
     }
 
 
@@ -580,8 +526,6 @@ def check_benchmarks(
     baseline: Optional[Dict] = None,
     max_parallel_ratio: float = 1.25,
     min_rate_factor: float = 0.8,
-    min_dep_reduction: float = 10.0,
-    min_pipeline_speedup: float = 0.75,
 ) -> List[str]:
     """Regression gates over a benchmark result document.
 
@@ -593,17 +537,11 @@ def check_benchmarks(
       can only pay IPC overhead and the gate is purely a collapse
       guard),
     - the streaming pipeline must actually overlap stages: the
-      ``pipeline_speedup`` (streaming wall vs. sum of barrier stage
-      times) must stay above ``min_pipeline_speedup`` — a collapse
-      guard; the tighter bound is the baseline comparison below, since
-      the point estimate is noisy at smoke scale — the scheduler must
-      have recorded tasks and an ``overlap_ratio`` above 1, and the
-      queue-depth/backpressure counters must be present,
+      scheduler must have recorded tasks and an ``overlap_ratio``
+      above 1, and the queue-depth/backpressure counters must be
+      present,
     - every stage's :class:`~repro.experiments.campaign.StageHealth`
       must report ``success``,
-    - dependency-broadcast bytes must stay ``min_dep_reduction`` times
-      below the naive per-task-pickle baseline (skipped when the run
-      shipped no deps at all),
     - the longitudinal section (when present) must have completed every
       week, merged at least one unchanged target from the previous week
       (delta hit rate > 0), and kept the no-op resume overhead well
@@ -619,8 +557,8 @@ def check_benchmarks(
       floor (1.1x) on a starved runner,
     - against a ``baseline`` document (the committed
       ``BENCH_scan.json``), the probe and handshake rates and the
-      pipeline speedup / overlap ratio must not drop below
-      ``min_rate_factor`` of their previous values.
+      overlap ratio must not drop below ``min_rate_factor`` of their
+      previous values.
     """
     failures: List[str] = []
     campaign = results.get("campaign", {})
@@ -635,17 +573,6 @@ def check_benchmarks(
         failures.append(
             f"parallel overhead: {parallel:.3f}s cold with workers >"
             f" {ratio_budget} x {serial:.3f}s serial"
-        )
-    pipeline = campaign.get("pipeline_speedup")
-    pipeline_floor = min_pipeline_speedup
-    if cores and workers and cores < workers:
-        # Without a core per worker the pipeline cannot overlap for
-        # real; only a wholesale collapse is a signal.
-        pipeline_floor = min_pipeline_speedup - 0.25
-    if pipeline is not None and pipeline < pipeline_floor:
-        failures.append(
-            f"pipeline collapse: streaming speedup {pipeline} over the"
-            f" barrier stage sum is below {pipeline_floor}"
         )
     streaming = results.get("streaming")
     if streaming is not None:
@@ -757,14 +684,6 @@ def check_benchmarks(
                 f" below {speedup_floor}x ({slots} effective slot(s) on"
                 f" {cores} cores)"
             )
-    movement = results.get("data_movement", {})
-    shipped = movement.get("dep_bytes_shipped", 0)
-    naive = movement.get("dep_bytes_naive", 0)
-    if shipped and naive and naive < min_dep_reduction * shipped:
-        failures.append(
-            f"dep broadcast regression: shipped {shipped} bytes, naive"
-            f" baseline {naive} is less than {min_dep_reduction}x larger"
-        )
     if baseline:
         for metric, key in (
             ("zmap_probe_rate", "probes_per_sec"),
@@ -777,23 +696,13 @@ def check_benchmarks(
                     f"{metric}: {ours:.0f}/s is below {min_rate_factor} x"
                     f" baseline {theirs:.0f}/s"
                 )
-        for label, ours, theirs in (
-            (
-                "pipeline_speedup",
-                pipeline,
-                baseline.get("campaign", {}).get("pipeline_speedup"),
-            ),
-            (
-                "stream overlap_ratio",
-                (streaming or {}).get("overlap_ratio"),
-                (baseline.get("streaming") or {}).get("overlap_ratio"),
-            ),
-        ):
-            if ours is not None and theirs and ours < min_rate_factor * theirs:
-                failures.append(
-                    f"{label}: {ours} is below {min_rate_factor} x"
-                    f" baseline {theirs}"
-                )
+        ours = (streaming or {}).get("overlap_ratio")
+        theirs = (baseline.get("streaming") or {}).get("overlap_ratio")
+        if ours is not None and theirs and ours < min_rate_factor * theirs:
+            failures.append(
+                f"stream overlap_ratio: {ours} is below {min_rate_factor} x"
+                f" baseline {theirs}"
+            )
     return failures
 
 

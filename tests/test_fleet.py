@@ -119,7 +119,7 @@ class TestWorldSharing:
 
 class TestWorkerEviction:
     def test_evicting_a_world_drops_its_campaign_replicas(self):
-        fleet_module._fleet_init(1, None)
+        fleet_module._fleet_init(1)
         try:
             config16, config17 = _config(week=16), _config(week=17)
             replica16 = fleet_module._fleet_replica(config16)
@@ -137,7 +137,7 @@ class TestWorkerEviction:
             assert again is not replica16
             assert again._world is not replica16._world
         finally:
-            fleet_module._fleet_init(fleet_module.DEFAULT_MAX_WORLDS, None)
+            fleet_module._fleet_init(fleet_module.DEFAULT_MAX_WORLDS)
 
 
 # -- byte-identity against the sequential drivers ------------------------------

@@ -12,9 +12,9 @@ The contract under test (docs/LONGITUDINAL.md):
 - a week that exhausts its retries is recorded ``failed`` while the
   remaining weeks complete (nonzero exit only on total-series failure);
   a hung week is force-failed by the watchdog deadline,
-- the loader refuses degraded campaigns under ``strict`` and the
-  scan-engine abort path reports failed shards instead of a
-  quietly-short merge.
+- the loader refuses degraded campaigns under ``strict`` and a pool
+  closed mid-stage reports failed chunks instead of a quietly-short
+  merge.
 """
 
 import json
@@ -37,7 +37,6 @@ from repro.longitudinal import (
     series_run_id,
 )
 from repro.netsim.faults import SERVICE_FAULT_ENV, parse_service_fault
-from repro.parallel.engine import ScanEngine
 from repro.scanners.retry import RetryPolicy
 from repro.warehouse import WarehouseQaError, connect, load_campaign, timeline_rows
 from repro.warehouse.queries import RUN_REPORTS, latest_run, named_report
@@ -396,13 +395,21 @@ def test_cli_week_spec_parsing():
 # -- satellite guards: degraded campaigns must not leak -----------------------
 
 
-def _failing_compute(family, shard, of):
-    raise RuntimeError("injected shard failure")
+def _failing_qscan_sni(campaign):
+    """``campaign.compute_stage_chunk`` with every SNI QUIC chunk failing."""
+    original = campaign.compute_stage_chunk
+
+    def compute(name, lo, items):
+        if name.startswith("qscan_sni"):
+            raise RuntimeError("injected shard failure")
+        return original(name, lo, items)
+
+    return compute
 
 
 def test_strict_loader_refuses_a_degraded_campaign(world):
     campaign = Campaign(CampaignConfig(week=18, scale=_SCALE, seed=_SEED), world=world)
-    campaign._compute_qscan_sni = _failing_compute
+    campaign.compute_stage_chunk = _failing_qscan_sni(campaign)
     conn = sqlite3.connect(":memory:")
     committed = []
     try:
@@ -421,12 +428,14 @@ def test_strict_loader_refuses_a_degraded_campaign(world):
 
 
 def test_degraded_input_taints_dependent_stage_caching(world, tmp_path, monkeypatch):
-    from repro.experiments.campaign import _STAGE_COMPUTE
+    original = Campaign.compute_stage_range
 
-    def _boom(campaign, shard, of):
-        raise RuntimeError("injected stage failure")
+    def _boom(self, name, lo, hi):
+        if name == "syn_v4":
+            raise RuntimeError("injected stage failure")
+        return original(self, name, lo, hi)
 
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_range", _boom)
     config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED)
     campaign = Campaign(config, world=world, cache_dir=tmp_path)
     try:
@@ -447,25 +456,24 @@ def test_degraded_input_taints_dependent_stage_caching(world, tmp_path, monkeypa
 
 
 def test_engine_abort_reports_every_shard_failed(world, monkeypatch):
+    """A pool closed with chunks in flight never yields a short success."""
     config = CampaignConfig(week=18, scale=_SCALE, seed=_SEED)
-    engine = ScanEngine(config, workers=2, world=world)
-    try:
-        pool = engine._ensure_pool()
-        # close()/terminate() racing the merge surfaces as the iterator
-        # dying mid-drain ...
-        monkeypatch.setattr(
-            pool, "imap_unordered",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("pool terminated")),
-        )
-        records, errors, shards = engine.run_stage("zmap_v4", {}, size_hint=1000)
-        assert records == []
-        assert len(errors) == shards > 0
-        assert all("aborted" in error for error in errors)
+    campaign = Campaign(config, world=world, workers=2)
+    pool = campaign._worker_pool()
 
-        # ... or as a quietly-short result set; both must degrade the
-        # stage instead of returning a partial merge.
-        monkeypatch.setattr(pool, "imap_unordered", lambda *a, **k: [])
-        records, errors, shards = engine.run_stage("zmap_v4", {}, size_hint=1000)
-        assert records == [] and len(errors) == shards
+    def close_with_chunk_in_flight(*args, **kwargs):
+        # The chunk is accepted but its result never arrives: the pool
+        # is shut down under the running stage (watchdog, signal
+        # handler, interpreter teardown).
+        campaign.close()
+
+    monkeypatch.setattr(pool, "apply_async", close_with_chunk_in_flight)
+    try:
+        records = campaign.zmap_v4
     finally:
-        engine.close()
+        campaign.close()
+    health = campaign.stage_health["zmap_v4"]
+    assert records == []
+    assert health.status == "failed"
+    assert health.shards_failed == health.shards > 0
+    assert "aborted" in health.error

@@ -1,11 +1,13 @@
-"""Tests for the sharded parallel scan engine and the stage cache.
+"""Tests for the parallel scan paths and the stage cache.
 
-Covers the three guarantees the engine is built on:
+Covers the three guarantees the parallel paths are built on:
 
 1. sharding the cyclic-group permutation partitions the address space
-   exactly (no duplicates, no gaps, any shard count),
-2. a parallel campaign produces record-for-record identical output to
-   a serial one,
+   exactly (no duplicates, no gaps, any shard count), and contiguous
+   blocks partition target lists without splitting one host's run,
+2. a parallel campaign — streamed whole, walked stage by stage, or
+   attached to a fleet — produces record-for-record identical output
+   to a serial one, on one pool per campaign,
 3. the persistent stage cache round-trips records, is keyed on the
    full configuration (including ``scan_timeout``), and discards
    version-skewed or corrupt entries instead of serving them.
@@ -28,9 +30,8 @@ from repro.experiments.campaign import (
 from repro.experiments import stage_cache
 from repro.experiments.stage_cache import CampaignStageCache
 from repro.internet.providers import Scale
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import render_metrics_json
-from repro.parallel import ScanEngine, engine as engine_module
+from repro.parallel import engine as engine_module
 from repro.scanners.permutation import CyclicGroupPermutation
 
 from tests.conftest import TINY_SCALE
@@ -99,20 +100,21 @@ def parallel_campaign(tiny_campaign):
 @pytest.mark.parametrize(
     "stage",
     [
-        "zmap_v4",  # permutation-sharded IPv4 sweep
-        "syn_v6",  # block-sharded target list
-        "goscanner_sni_v4",  # aligned shards + rng seek
-        "qscan_sni_v4",  # aligned shards + target sources
+        "zmap_v4",  # walk-range chunked IPv4 sweep
+        "syn_v6",  # sliced target list
+        "goscanner_sni_v4",  # address-aligned chunks + rng seek
+        "qscan_sni_v4",  # aligned chunks + target sources
     ],
 )
 def test_parallel_output_identical_to_serial(tiny_campaign, parallel_campaign, stage):
+    """A lazily accessed stage streams its closure, record for record."""
     serial = getattr(tiny_campaign, stage)
     parallel = getattr(parallel_campaign, stage)
     assert len(parallel) == len(serial)
     assert parallel == serial
 
 
-# -- zero-copy engine: dep broadcast, adaptive sharding, fast sweep -----------
+# -- one chunk engine: serial, streamed, stage-by-stage, fleet ----------------
 
 
 @pytest.fixture(scope="module")
@@ -124,85 +126,94 @@ def full_serial():
 
 @pytest.fixture(scope="module")
 def full_parallel():
-    # Pinned to the barrier engine: the tests below assert its internals
-    # (dep broadcast, inline threshold, oversharding).  The streaming
-    # engine's equivalents live in tests/test_stream.py.
     campaign = Campaign(
         CampaignConfig(week=18, scale=TINY_SCALE, seed=7), workers=2
     )
-    campaign.run_all_stages(streaming=False)
+    campaign.run_all_stages()
     yield campaign
     campaign.close()
 
 
-def test_parallel_campaign_byte_identical_under_dep_broadcast(
-    full_serial, full_parallel
-):
-    """Every stage's records and the whole metrics.json match a serial run.
-
-    The parallel run really exercised the dep-broadcast path (volatile
-    counters moved), yet the deterministic artefact is byte-identical.
-    """
+def test_parallel_campaign_byte_identical_to_serial(full_serial, full_parallel):
+    """Every stage's records and the whole metrics.json match a serial run."""
     for stage in _STAGE_ORDER:
         assert getattr(full_parallel, stage) == getattr(full_serial, stage), stage
     assert render_metrics_json(full_parallel) == render_metrics_json(full_serial)
-    assert full_parallel.metrics.counter_value("engine.dep_broadcasts") > 0
-    assert full_parallel.metrics.counter_value("engine.dep_bytes_shipped") > 0
+    assert full_parallel.metrics.counter_value("stream.tasks") > 0
 
 
-def test_small_stages_run_inline(full_parallel):
-    """Stages under the cost threshold run in the parent, unsharded."""
-    assert full_parallel.metrics.counter_value("engine.inline_stages") > 0
-    # The v6 stages walk the small hitlist: far below the threshold.
-    health = full_parallel.stage_health["zmap_v6"]
-    assert health.status == "success" and health.shards == 1
+def test_lazy_stage_streams_only_its_dependency_closure(full_serial):
+    campaign = Campaign(full_serial.config, world=full_serial.world, workers=2)
+    try:
+        assert campaign.qscan_nosni_v4 == full_serial.qscan_nosni_v4
+        assert "zmap_v4" in campaign.__dict__
+        for stage in ("syn_v4", "zmap_v6", "goscanner_sni_v4", "qscan_sni_v4"):
+            assert stage not in campaign.__dict__, stage
+        assert sorted(campaign.stage_health) == ["qscan_nosni_v4", "zmap_v4"]
+    finally:
+        campaign.close()
 
 
 def test_big_stages_oversharded(full_parallel):
-    """Sharded stages split into OVERSHARD_FACTOR x workers tasks."""
+    """Source sweeps split into more chunks than there are workers."""
     health = full_parallel.stage_health["zmap_v4"]
-    expected = full_parallel._workers * engine_module.OVERSHARD_FACTOR
-    assert health.shards == expected > full_parallel._workers
+    assert health.status == "success"
+    assert health.shards > full_parallel._workers
 
 
-def test_dep_bytes_ship_once_per_worker_per_stage(full_serial):
-    """A dep crosses the process boundary once per worker, then is cached."""
-    config = full_serial.config
-    deps = {"zmap_v4": full_serial.zmap_v4}
-    metrics = MetricsRegistry()
-    engine = ScanEngine(config, workers=2, world=full_serial.world)
+@pytest.fixture
+def counted_forks(monkeypatch):
+    forks = []
+    original = engine_module.fork_pool
+
+    def fork_pool(*args, **kwargs):
+        forks.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "fork_pool", fork_pool)
+    return forks
+
+
+def _walk_stages(campaign):
+    """Touch every stage one at a time, as execute_week_scans does."""
+    for stage in _STAGE_ORDER:
+        getattr(campaign, stage)
+
+
+def test_stage_walk_on_workers_matches_serial_on_one_pool(full_serial, counted_forks):
+    campaign = Campaign(full_serial.config, workers=2)
     try:
-        records, errors, shards = engine.run_stage(
-            "qscan_nosni_v4", deps, metrics=metrics
-        )
-        assert errors == []
-        assert records == full_serial.qscan_nosni_v4
-        shipped = metrics.counter_value("engine.dep_bytes_shipped")
-        assert shipped > 0 and shipped % engine.workers == 0
-        assert metrics.counter_value("engine.dep_broadcasts") == 1
-        assert metrics.counter_value("engine.dep_cache_hits") == 0
-        # Re-running a stage with the same dep ships zero new bytes:
-        # the dep is resident on every worker (one cache hit each).
-        rerun, errors, _ = engine.run_stage("qscan_nosni_v4", deps, metrics=metrics)
-        assert errors == [] and rerun == records
-        assert metrics.counter_value("engine.dep_bytes_shipped") == shipped
-        assert metrics.counter_value("engine.dep_cache_hits") == engine.workers
-        # The naive per-task baseline (full deps dict pickled into every
-        # shard task, uncompressed) dwarfs what was actually shipped.
-        naive = metrics.counter_value("engine.dep_bytes_naive")
-        assert naive > shipped
+        _walk_stages(campaign)
     finally:
-        engine.close()
+        campaign.close()
+    assert counted_forks == [2], "a stage-by-stage walk must fork exactly one pool"
+    for stage in _STAGE_ORDER:
+        assert getattr(campaign, stage) == getattr(full_serial, stage), stage
+    assert render_metrics_json(campaign) == render_metrics_json(full_serial)
+
+
+def test_stage_walk_on_fleet_matches_serial_on_one_pool(full_serial, counted_forks):
+    from repro.parallel.fleet import FleetScheduler
+
+    with FleetScheduler(jobs=2, campaign_workers=1) as fleet:
+        campaign = fleet.cell_campaign(full_serial.config)
+        _walk_stages(campaign)
+        assert fleet.pool_respawns == 0
+    assert len(counted_forks) == 1, "a fleet campaign must reuse the fleet's pool"
+    for stage in _STAGE_ORDER:
+        assert getattr(campaign, stage) == getattr(full_serial, stage), stage
+    assert render_metrics_json(campaign) == render_metrics_json(full_serial)
 
 
 def test_engine_close_is_graceful_and_idempotent(full_serial):
-    engine = ScanEngine(full_serial.config, workers=2, world=full_serial.world)
-    pool = engine._ensure_pool()
+    campaign = Campaign(full_serial.config, world=full_serial.world, workers=2)
+    pool = campaign._worker_pool()
+    assert campaign._worker_pool() is pool, "the campaign keeps one pool"
     workers = list(pool._pool)
     assert workers and all(process.is_alive() for process in workers)
-    engine.close()
+    campaign.close()
     assert all(not process.is_alive() for process in workers)
-    engine.close()  # second close is a no-op
+    campaign.close()  # second close is a no-op
 
 
 def test_bad_repro_workers_value_warns(monkeypatch, capsys):

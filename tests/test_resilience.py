@@ -10,7 +10,7 @@ from repro.experiments.campaign import (
     Campaign,
     CampaignConfig,
     StageHealth,
-    _STAGE_COMPUTE,
+    shard_block_bounds,
 )
 from repro.experiments.stage_cache import CACHE_VERSION, CampaignStageCache
 from repro.internet.providers import Scale
@@ -279,12 +279,18 @@ def test_metrics_document_records_resilience_config(chaos_serial):
 # -- graceful degradation ------------------------------------------------------
 
 
-def _boom(campaign, shard, of):
-    raise RuntimeError("injected stage failure")
+_ORIGINAL_RANGE = Campaign.compute_stage_range
+
+
+def _boom(self, name, lo, hi):
+    """Fail every syn_v4 sweep chunk at the chunk entry point."""
+    if name == "syn_v4":
+        raise RuntimeError("injected stage failure")
+    return _ORIGINAL_RANGE(self, name, lo, hi)
 
 
 def test_serial_stage_failure_degrades_gracefully(monkeypatch):
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_range", _boom)
     campaign = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31))
     counts = campaign.run_all_stages()  # must not raise
     assert campaign.syn_v4 == []
@@ -306,41 +312,35 @@ def test_serial_stage_failure_degrades_gracefully(monkeypatch):
 
 
 def test_parallel_shard_failure_marks_stage_degraded(monkeypatch):
-    def boom_on_shard_one(campaign, shard, of):
-        if shard == 1:
+    def boom_after_first_chunk(self, name, lo, hi):
+        if name == "syn_v4" and lo > 0:
             raise RuntimeError("shard down")
-        return _ORIGINAL_SYN_V4(campaign, shard, of)
+        return _ORIGINAL_RANGE(self, name, lo, hi)
 
-    from repro.parallel import engine as engine_module
-
-    # Pin one task per worker so the stage splits into exactly 2 shards
-    # and the failure story below stays exact.
-    monkeypatch.setattr(engine_module, "OVERSHARD_FACTOR", 1)
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", boom_on_shard_one)
+    # Patched on the class before the pool forks, so workers inherit it.
+    monkeypatch.setattr(Campaign, "compute_stage_range", boom_after_first_chunk)
     campaign = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31), workers=2)
     try:
-        # Barrier engine pinned: this test asserts its exact 2-shard
-        # split (streaming chunk failure is covered in test_stream.py).
-        campaign.run_all_stages(streaming=False)
+        campaign.run_all_stages()
     finally:
         campaign.close()
     health = campaign.stage_health["syn_v4"]
     assert health.status == "degraded"
-    assert health.shards == 2 and health.shards_failed == 1
+    assert health.shards > 1 and health.shards_failed == health.shards - 1
     assert "shard down" in health.error
     assert campaign.failed_stages() == []
     assert campaign.degraded_stages() == ["syn_v4"]
-    # The surviving shard's records are exactly shard 0 of a serial run.
+    # The surviving chunk's records are exactly the first contiguous
+    # walk segment of a serial sweep.
     reference = Campaign(CampaignConfig(scale=FAULT_SCALE, seed=31))
-    expected = [record for _, record in _ORIGINAL_SYN_V4(reference, 0, 2)]
-    assert campaign.syn_v4 == expected
-
-
-_ORIGINAL_SYN_V4 = _STAGE_COMPUTE["syn_v4"]
+    cycle = len(reference.stage_targets("syn_v4"))
+    _, hi = shard_block_bounds(cycle, 0, health.shards)
+    expected = _ORIGINAL_RANGE(reference, "syn_v4", 0, hi)
+    assert campaign.syn_v4 == [record for _, record in expected]
 
 
 def test_degraded_stage_is_not_cached(monkeypatch, tmp_path):
-    monkeypatch.setitem(_STAGE_COMPUTE, "syn_v4", _boom)
+    monkeypatch.setattr(Campaign, "compute_stage_range", _boom)
     campaign = Campaign(
         CampaignConfig(scale=FAULT_SCALE, seed=31), cache_dir=tmp_path
     )

@@ -3,9 +3,9 @@
 The contract under test is the differential oracle's: a streaming
 parallel campaign must be byte-identical to a serial one — records per
 stage and the rendered ``metrics.json`` — including under injected
-faults with retries enabled.  The scheduling tests cover what the
-barrier-engine tests cover for sharding: chunk partitioning, overlap,
-backpressure accounting and graceful degradation.
+faults with retries enabled.  The scheduling tests cover chunk
+partitioning, overlap, backpressure accounting, graceful degradation
+and the cache-taint guard.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.parallel import stream as stream_module
 from repro.scanners.permutation import CyclicGroupPermutation
 from repro.scanners.retry import RetryPolicy
 
-from tests.conftest import TINY_SCALE
 
 STREAM_SCALE = Scale(addresses=20_000, ases=200, domains=20_000)
 
@@ -98,7 +97,7 @@ def stream_serial(chaos_stream_config):
 @pytest.fixture(scope="module")
 def stream_parallel(chaos_stream_config):
     campaign = Campaign(chaos_stream_config, workers=2)
-    campaign.run_all_stages(streaming=True)
+    campaign.run_all_stages()
     yield campaign
     campaign.close()
 
@@ -133,27 +132,15 @@ def test_streaming_stage_health_success(stream_parallel):
         assert stream_parallel.stage_health[stage].status == "success", stage
 
 
-def test_streaming_respects_env_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_STREAM", "0")
-    campaign = Campaign(CampaignConfig(week=18, scale=TINY_SCALE, seed=7), workers=2)
-    try:
-        campaign.run_all_stages()
-        counters = campaign.metrics.snapshot(include_volatile=True)["counters"]
-        assert "stream.tasks" not in counters
-        assert counters.get("engine.tasks", 0) > 0
-    finally:
-        campaign.close()
-
-
 # -- backpressure --------------------------------------------------------------
 
 
 def test_backpressure_stalls_sources(monkeypatch):
     """A tiny queue limit forces sweep dispatch to stall measurably."""
-    monkeypatch.setattr(stream_module, "stream_queue_limit", lambda: 1)
+    monkeypatch.setattr(stream_module, "_QUEUE_LIMIT", 1)
     campaign = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=7), workers=2)
     try:
-        campaign.run_all_stages(streaming=True)
+        campaign.run_all_stages()
         snapshot = campaign.metrics.snapshot(include_volatile=True)
         assert snapshot["counters"]["stream.backpressure_stalls"] > 0
         assert snapshot["gauges"]["stream.queue_limit"] == 1
@@ -181,7 +168,7 @@ def test_streaming_chunk_failure_degrades_stage(monkeypatch):
     monkeypatch.setattr(Campaign, "compute_stage_chunk", boom_on_first_chunk)
     campaign = Campaign(CampaignConfig(week=18, scale=STREAM_SCALE, seed=31), workers=2)
     try:
-        counts = campaign.run_all_stages(streaming=True)
+        counts = campaign.run_all_stages()
     finally:
         campaign.close()
     health = campaign.stage_health["goscanner_nosni_v4"]
@@ -207,7 +194,7 @@ def test_degraded_streaming_stage_is_not_cached(monkeypatch, tmp_path):
         cache_dir=tmp_path,
     )
     try:
-        campaign.run_all_stages(streaming=True)
+        campaign.run_all_stages()
     finally:
         campaign.close()
     directory = campaign.stage_cache.directory
@@ -217,3 +204,33 @@ def test_degraded_streaming_stage_is_not_cached(monkeypatch, tmp_path):
     # The sweeps succeeded and cached normally.
     assert (directory / "zmap_v4.pkl").exists()
     assert (directory / "syn_v4.pkl").exists()
+
+
+def test_stages_streamed_over_a_degraded_input_are_not_cached(monkeypatch, tmp_path):
+    """One failed sweep chunk taints every stage computed from it."""
+    original = Campaign.compute_stage_range
+
+    def boom_on_first_syn_chunk(self, name, lo, hi):
+        if name == "syn_v4" and lo == 0:
+            raise RuntimeError("chunk down")
+        return original(self, name, lo, hi)
+
+    monkeypatch.setattr(Campaign, "compute_stage_range", boom_on_first_syn_chunk)
+    campaign = Campaign(
+        CampaignConfig(week=18, scale=STREAM_SCALE, seed=31),
+        workers=2,
+        cache_dir=tmp_path,
+    )
+    try:
+        campaign.run_all_stages()
+    finally:
+        campaign.close()
+    assert campaign.stage_health["syn_v4"].status == "degraded"
+    directory = campaign.stage_cache.directory
+    # Computed successfully, but over a short input: a warm rerun must
+    # recompute them rather than serve short records as authoritative.
+    for stage in ("syn_v4", "goscanner_nosni_v4", "goscanner_sni_v4", "qscan_sni_v4"):
+        assert not (directory / f"{stage}.pkl").exists(), stage
+    # Stages independent of the failure still cache.
+    for stage in ("zmap_v4", "qscan_nosni_v4", "syn_v6", "goscanner_sni_v6"):
+        assert (directory / f"{stage}.pkl").exists(), stage
