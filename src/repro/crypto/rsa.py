@@ -1,10 +1,14 @@
 """Minimal RSA with PKCS#1 v1.5 signatures, for the simulated PKI.
 
 The simulated certificate authority (:mod:`repro.tls.certificates`)
-signs leaf certificates with RSA.  Key sizes default to 1024 bits —
-small enough that pure-Python key generation stays fast at
-campaign scale, while exercising exactly the sign/verify code paths a
-real scanner validates.  Sizes are configurable for tests.
+signs leaf certificates with RSA.  Key sizes default to 1024 bits,
+exercising exactly the sign/verify code paths a real scanner
+validates.  Sizes are configurable for tests.
+
+Pure-Python key generation is not cheap: it is most of a cold world
+build.  Callers that need the same key again should not call
+:func:`generate_rsa_key` twice; the PKI memoises its keys by seed
+label (``repro.tls.certificates._seeded_key``).
 """
 
 from __future__ import annotations

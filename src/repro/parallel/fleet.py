@@ -3,9 +3,11 @@
 The repro's workloads are fleets of near-identical campaigns — a
 datarate×latency matrix whose cells differ only in ``path_profile``,
 and a longitudinal series whose weeks differ only in the grown world —
-yet the sequential drivers rebuild the simulated Internet (~2.2 s of a
-~3.4 s cold cell) and respawn the worker pool for every campaign.  The
-fleet scheduler amortises both:
+yet the sequential drivers rebuild the simulated Internet and respawn
+the worker pool for every campaign.  (Only the first world built in a
+process pays for RSA keygen, since PKI keys are memoised by seed
+label; the rest of the build still repeats.)  The fleet scheduler
+amortises both:
 
 - **Shared world snapshots.**  The world-shaping configuration subset
   (:func:`repro.parallel.engine.world_key`) excludes fault/path

@@ -146,13 +146,26 @@ def hostname_matches(pattern: str, hostname: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _seeded_key(key_bits: int, seed: str) -> RsaPrivateKey:
+    """The RSA key a fresh ``DeterministicRandom(seed)`` generates.
+
+    Every PKI key is drawn from its own freshly seeded generator, so the
+    key is a pure function of ``(key_bits, seed)`` and memoising it is
+    exact.  None of the world generator's key labels depend on the week,
+    so only the first world built in a process pays for keygen.
+    """
+    return generate_rsa_key(key_bits, DeterministicRandom(seed))
+
+
 class CertificateAuthority:
     """A root CA that issues leaf certificates for the simulated PKI."""
 
     def __init__(self, name: str = "Repro Root CA", seed: str = "root-ca", key_bits: int = 1024):
-        rng = DeterministicRandom(seed)
-        self.key = generate_rsa_key(key_bits, rng)
-        self._serials = rng.child("serials")
+        self.key = _seeded_key(key_bits, seed)
+        # child() reads only the seed, never the generator state, so the
+        # serials do not depend on whether keygen ran (a memo hit skips it).
+        self._serials = DeterministicRandom(seed).child("serials")
         root = Certificate(
             subject=name,
             issuer=name,
@@ -179,7 +192,7 @@ class CertificateAuthority:
     ) -> Tuple[Certificate, RsaPrivateKey]:
         """Issue a leaf certificate; generates a key if none is given."""
         if key is None:
-            key = generate_rsa_key(key_bits, DeterministicRandom(key_seed or f"leaf:{subject}"))
+            key = _seeded_key(key_bits, key_seed or f"leaf:{subject}")
         cert = Certificate(
             subject=subject,
             issuer=self.root.subject,
@@ -201,7 +214,7 @@ def make_self_signed(
     seed: Optional[str] = None,
 ) -> Tuple[Certificate, RsaPrivateKey]:
     """A self-signed certificate (Google's no-SNI error cert on TCP)."""
-    key = generate_rsa_key(key_bits, DeterministicRandom(seed or f"selfsigned:{subject}"))
+    key = _seeded_key(key_bits, seed or f"selfsigned:{subject}")
     cert = Certificate(
         subject=subject,
         issuer=subject,

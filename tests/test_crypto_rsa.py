@@ -62,4 +62,5 @@ def test_rsa_modulus_exact_bits():
 def test_rsa_deterministic_from_seed():
     key_a = generate_rsa_key(512, DeterministicRandom("same-seed"))
     key_b = generate_rsa_key(512, DeterministicRandom("same-seed"))
-    assert key_a.n == key_b.n
+    fields = ("n", "e", "d", "p", "q")
+    assert [getattr(key_a, f) for f in fields] == [getattr(key_b, f) for f in fields]

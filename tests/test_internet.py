@@ -118,6 +118,31 @@ def test_world_is_deterministic(tiny_world):
     ]
 
 
+def test_world_identical_with_key_memo_cold_and_warm(monkeypatch):
+    """The seed-keyed PKI key memo must not change a world's output."""
+    from repro.tls import certificates
+    from tests.conftest import TINY_SCALE
+
+    certificates._seeded_key.cache_clear()
+    cold = build_world(week=16, scale=TINY_SCALE, seed=7)
+    certificates._seeded_key.cache_clear()
+    build_world(week=18, scale=TINY_SCALE, seed=7)
+
+    keygen_calls = []
+    generate = certificates.generate_rsa_key
+
+    def counting(*args, **kwargs):
+        keygen_calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "generate_rsa_key", counting)
+    warm = build_world(week=16, scale=TINY_SCALE, seed=7)
+    assert keygen_calls == []
+    # DeploymentInfo equality covers every field, cert_digest included.
+    assert warm.deployments == cold.deployments
+    assert warm.ca.root.encode() == cold.ca.root.encode()
+
+
 def test_every_group_present(tiny_world):
     present = {d.group for d in tiny_world.deployments}
     expected = {g.key for g in GROUPS}

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.crypto.rand import DeterministicRandom
+from repro.crypto.rsa import generate_rsa_key
 from repro.tls.certificates import (
     Certificate,
     CertificateAuthority,
+    _seeded_key,
     hostname_matches,
     make_self_signed,
     verify_chain,
@@ -67,6 +70,52 @@ def test_fingerprint_unique(ca):
     cert_a, _ = ca.issue("fa.example", ["fa.example"], key_bits=512)
     cert_b, _ = ca.issue("fb.example", ["fb.example"], key_bits=512)
     assert cert_a.fingerprint() != cert_b.fingerprint()
+
+
+# -- seed-keyed key memo --------------------------------------------------------
+
+
+def _key_fields(key):
+    return (key.n, key.e, key.d, key.p, key.q)
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+@pytest.mark.parametrize("seed", ["memo-a", "memo-b", "key-google", "ca-7"])
+def test_seeded_key_equals_fresh_key(bits, seed):
+    fresh = generate_rsa_key(bits, DeterministicRandom(seed))
+    assert _key_fields(_seeded_key(bits, seed)) == _key_fields(fresh)
+
+
+def test_ca_output_identical_with_memo_cold_and_warm():
+    def issue_all():
+        ca = CertificateAuthority(seed="memo-ca", key_bits=512)
+        leaves = [
+            ca.issue(f"m{i}.example", [f"m{i}.example"], key_bits=512, key_seed="memo-leaf")[0]
+            for i in range(6)
+        ]
+        self_signed, _ = make_self_signed("memo.invalid", key_bits=512, seed="memo-self")
+        return ca.root.encode(), [cert.encode() for cert in leaves], self_signed.encode()
+
+    _seeded_key.cache_clear()
+    cold = issue_all()
+    misses = _seeded_key.cache_info().misses
+    warm = issue_all()
+    assert _seeded_key.cache_info().misses == misses
+    assert warm == cold
+
+
+def test_ca_serials_match_the_keygen_advanced_generator():
+    # A memo hit skips keygen, so the CA's serials must not depend on the
+    # generator state keygen advances: child() reads only the seed.
+    rng = DeterministicRandom("memo-serials")
+    generate_rsa_key(512, rng)
+    serials = rng.child("serials")
+    ca = CertificateAuthority(seed="memo-serials", key_bits=512)
+    expected = [serials.getrandbits(63) for _ in range(5)]
+    issued = [ca.root.serial] + [
+        ca.issue(f"s{i}.example", [f"s{i}.example"], key_bits=512)[0].serial for i in range(4)
+    ]
+    assert issued == expected
 
 
 @pytest.mark.parametrize(
